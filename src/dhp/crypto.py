@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from random import Random
 
@@ -37,11 +37,20 @@ class MalformedKey(DhpError):
 
 @dataclass(frozen=True)
 class KeyPair:
-    """An actor's signing seed and verification key. secret stays local."""
+    """An actor's signing seed and verification key. secret stays local.
+
+    The seed is parsed into a signing key once, on construction (a malformed
+    seed raises MalformedKey); `dataclasses.replace` re-parses a new seed.
+    """
 
     secret: bytes
     public: bytes
     owner: ActorId
+    _signing_key: ed25519.Ed25519PrivateKey = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # Rebuilding the key object from the seed costs about as much as a signature.
+        object.__setattr__(self, "_signing_key", _private_key(self.secret))
 
 
 @dataclass(frozen=True)
@@ -90,9 +99,9 @@ def keygen(role: Role, seed: bytes | None = None) -> KeyPair:
     return KeyPair(secret=secret, public=public, owner=owner)
 
 
-def sign(secret: bytes, message: bytes) -> bytes:
-    """Sign a message; deterministic for a fixed (secret, message)."""
-    return _private_key(secret).sign(message)
+def sign(key: KeyPair, message: bytes) -> bytes:
+    """Sign a message; deterministic for a fixed (key, message)."""
+    return key._signing_key.sign(message)
 
 
 def verify_sig(public: bytes, message: bytes, signature: bytes) -> bool:

@@ -258,7 +258,7 @@ def propose_block(
         block_time=now,
         authority_signature=b"",
     )
-    signature = sign(hsa.secret, header_signing_bytes(header))
+    signature = sign(hsa, header_signing_bytes(header))
     return Block(header=replace(header, authority_signature=signature), records=records)
 
 

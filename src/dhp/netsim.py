@@ -42,7 +42,7 @@ from .ledger import (
     propose_block,
     scheduled_authority,
 )
-from .protocol import PendingDhp, bm_verify, thf_issue
+from .protocol import PendingDhp, bm_verify, check_credential, thf_issue
 
 ROUND_SECONDS = 60
 SIM_BASE_TIME = 1_600_000_000
@@ -94,7 +94,6 @@ class EventKind(Enum):
     SUBMIT = "Submit"
     PROPOSE = "Propose"
     DELIVER = "Deliver"
-    DROP = "Drop"
 
 
 @dataclass(frozen=True)
@@ -380,7 +379,11 @@ def check_consistency(
     at: int | None = None,
 ) -> bool:
     """True iff all nodes hold byte-identical chains and, when tokens are
-    supplied, every token verifies to the same outcome on every node."""
+    supplied, every token verifies to the same outcome on every node.
+
+    The member signs a receipt on the first node only; every other node runs
+    the same receipt-free checks and must reach an equal outcome.
+    """
     if not states:
         return True
     reference = chain_bytes(states[0])
@@ -388,8 +391,8 @@ def check_consistency(
         return False
     if issued and bm is not None and policy is not None and at is not None:
         for token, doc in issued:
-            outcomes = {bm_verify(bm, s, token, doc, policy, at)[0] for s in states}
-            if len(outcomes) != 1:
+            outcome, _ = bm_verify(bm, states[0], token, doc, policy, at)
+            if any(check_credential(s, token, doc, policy, at) != outcome for s in states[1:]):
                 return False
     return True
 

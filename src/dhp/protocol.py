@@ -167,7 +167,7 @@ def thf_issue(
         tested_at=tested_at,
         method=method,
         issuer_id=thf.owner,
-        issuer_signature=sign(thf.secret, preimage),
+        issuer_signature=sign(thf, preimage),
     )
     return PendingDhp(record=record, salt=salt, thf_id=thf.owner)
 
@@ -233,22 +233,19 @@ def receipt_signing_bytes(
     )
 
 
-def bm_verify(
-    bm: KeyPair,
+def check_credential(
     state: ChainState,
     token: DhpToken,
     doc: TravelDocument,
     policy: HygienePolicy,
     at: int,
-) -> tuple[VerificationOutcome, VerificationReceipt]:
-    """Verify one presented (token, document) pair against the chain.
+) -> VerificationOutcome:
+    """Run the verification pipeline for one presented (token, document) pair.
 
-    Read-only members only. Verification failures are outcomes, not errors,
-    and every call emits a signed receipt carrying the outcome status.
+    Locate by token, check the issuer is registered, check the issuer
+    signature, check the policy; the status is the first failure. Signs
+    nothing: bm_verify adds the member's receipt.
     """
-    if bm.owner.role is not Role.BM:
-        raise NotABlockchainMember(f"{bm.owner.label()} is not a read-only member")
-
     status = OutcomeStatus.VALID
     violation: ViolationReason | None = None
     found = lookup_by_token(state, token, doc)
@@ -268,12 +265,31 @@ def bm_verify(
             if violation is not None:
                 status = OutcomeStatus.POLICY_VIOLATION
 
-    outcome = VerificationOutcome(
+    return VerificationOutcome(
         status=status,
         violation_reason=violation,
         dhp_location=found.location,
         checked_at=at,
     )
+
+
+def bm_verify(
+    bm: KeyPair,
+    state: ChainState,
+    token: DhpToken,
+    doc: TravelDocument,
+    policy: HygienePolicy,
+    at: int,
+) -> tuple[VerificationOutcome, VerificationReceipt]:
+    """Verify one presented (token, document) pair against the chain.
+
+    Read-only members only. Verification failures are outcomes, not errors,
+    and every call emits a signed receipt carrying the outcome status.
+    """
+    if bm.owner.role is not Role.BM:
+        raise NotABlockchainMember(f"{bm.owner.label()} is not a read-only member")
+    outcome = check_credential(state, token, doc, policy, at)
+    status = outcome.status
     preimage = receipt_signing_bytes(bm.owner, token.header_hash, token.record_index, status, at)
     receipt = VerificationReceipt(
         bm_id=bm.owner,
@@ -281,7 +297,7 @@ def bm_verify(
         record_index=token.record_index,
         outcome_status=status,
         checked_at=at,
-        bm_signature=sign(bm.secret, preimage),
+        bm_signature=sign(bm, preimage),
     )
     return outcome, receipt
 

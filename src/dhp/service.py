@@ -24,6 +24,7 @@ before they are announced.
 
 from __future__ import annotations
 
+import itertools
 import os
 import secrets
 import socket
@@ -48,6 +49,8 @@ from .core import (
 )
 from .crypto import KeyPair, sign, verify_sig
 from .ledger import (
+    CLOCK_SKEW_SECONDS,
+    MAX_BLOCK_RECORDS,
     Block,
     BlockHeader,
     ChainState,
@@ -419,6 +422,9 @@ class HsaNode(Node):
             return _error(ERR_UNKNOWN_ISSUER, "issuer is not registered")
         if not verify_sig(issuer.public_key, record_signing_bytes(pending.record), pending.record.issuer_signature):
             return _error(ERR_REJECTED, "bad issuer signature")
+        # The rule propose_block applies: admitted, such a record would fail every proposal.
+        if pending.record.tested_at > int(time.time()) + CLOCK_SKEW_SECONDS:
+            return _error(ERR_REJECTED, "tested_at is in the future")
         commitment = pending.record.commitment
         with self._lock:
             duplicate = commitment in self._mempool or commitment in self._tokens or commitment in self._state.index
@@ -455,7 +461,7 @@ class HsaNode(Node):
             self._reap_included(state)
             if not self._mempool:
                 return None
-            batch = list(self._mempool.values())
+            batch = list(itertools.islice(self._mempool.values(), MAX_BLOCK_RECORDS))
             now = int(time.time())
             block = propose_block(state, [p.record for p in batch], self.key, now)
             self._state = append_block(state, block, now)
@@ -571,7 +577,7 @@ class NodeClient:
         if not frame or frame[0] != MSG_CHALLENGE or len(frame) != 33:
             sock.close()
             raise ServiceError(ERR_MALFORMED, "bad challenge from server")
-        signature = sign(key.secret, AUTH_TAG + frame[1:])
+        signature = sign(key, AUTH_TAG + frame[1:])
         send_frame(
             sock,
             bytes((MSG_AUTH, key.owner.role.value))

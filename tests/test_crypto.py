@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 from datetime import date
 from random import Random
 
@@ -54,28 +55,29 @@ def test_keygen_fresh_keys_are_distinct():
 
 def test_sign_verify_round_trip():
     key = keygen(Role.THF, b"\x01" * 32)
-    assert verify_sig(key.public, b"x", sign(key.secret, b"x"))
+    assert verify_sig(key.public, b"x", sign(key, b"x"))
 
 
 def test_verify_wrong_key_and_message():
     key = keygen(Role.THF, b"\x01" * 32)
     other = keygen(Role.THF, b"\x02" * 32)
-    sig = sign(key.secret, b"message")
+    sig = sign(key, b"message")
     assert not verify_sig(other.public, b"message", sig)
     assert not verify_sig(key.public, b"message2", sig)
+    assert sign(replace(key, secret=other.secret), b"message") == sign(other, b"message")
 
 
 def test_rfc8032_golden_vector():
     key = keygen(Role.THF, RFC8032_SEED)
     assert key.public == RFC8032_PUBLIC
-    assert sign(key.secret, b"") == RFC8032_SIG_EMPTY
+    assert sign(key, b"") == RFC8032_SIG_EMPTY
     assert verify_sig(RFC8032_PUBLIC, b"", RFC8032_SIG_EMPTY)
 
 
 def test_signature_bit_flip_always_fails():
     key = keygen(Role.BM, b"\x03" * 32)
     message = b"the boarding manifest"
-    sig = bytearray(sign(key.secret, message))
+    sig = bytearray(sign(key, message))
     for bit in range(len(sig) * 8):
         sig[bit // 8] ^= 1 << (bit % 8)
         assert not verify_sig(key.public, message, bytes(sig))
@@ -91,8 +93,9 @@ def test_verify_is_total_on_garbage():
 
 
 def test_sign_rejects_malformed_secret():
+    key = keygen(Role.THF, b"\x01" * 32)
     with pytest.raises(MalformedKey):
-        sign(b"\x00" * 31, b"m")
+        replace(key, secret=b"\x00" * 31)
 
 
 def test_commit_golden_vectors():

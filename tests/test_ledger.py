@@ -64,7 +64,7 @@ def build_block(c: Consortium, state, count=2, now=T0 + 120, hsa=None, start=0):
 
 def resign(block: Block, hsa) -> Block:
     header = replace(block.header, authority_signature=b"")
-    signature = sign(hsa.secret, header_signing_bytes(header))
+    signature = sign(hsa, header_signing_bytes(header))
     return Block(header=replace(header, authority_signature=signature), records=block.records)
 
 
@@ -397,7 +397,7 @@ def test_authority_exclusivity_property(consortium):
         forged = Block(
             header=replace(
                 forged_header,
-                authority_signature=sign(forger.secret, header_signing_bytes(forged_header)),
+                authority_signature=sign(forger, header_signing_bytes(forged_header)),
             ),
             records=(pending.record,),
         )
@@ -407,7 +407,7 @@ def test_authority_exclusivity_property(consortium):
         masquerade = Block(
             header=replace(
                 masquerade_header,
-                authority_signature=sign(forger.secret, header_signing_bytes(masquerade_header)),
+                authority_signature=sign(forger, header_signing_bytes(masquerade_header)),
             ),
             records=(pending.record,),
         )

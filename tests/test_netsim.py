@@ -1,8 +1,10 @@
 import re
+from dataclasses import replace
 from math import inf
 
 import pytest
 
+from dhp.ledger import chain_bytes
 from dhp.netsim import (
     EventKind,
     InvalidConfig,
@@ -197,13 +199,24 @@ def test_eventual_consistency_property_suite():
 
 
 def test_check_consistency_detects_divergence(consortium):
-    from conftest import Consortium
+    from conftest import Consortium, make_doc
     from test_ledger import grow_chain
+    from test_protocol import HOUR, POLICY, T0, issue_and_register
 
     a = grow_chain(Consortium(), 3)
     b = grow_chain(Consortium(), 4)
     assert check_consistency([a, a])
     assert not check_consistency([a, b])
+
+    # Byte-equal chains, but one replica cannot find a block by its hash:
+    # only verifying the tokens on every replica shows it.
+    docs = [make_doc(i) for i in range(3)]
+    state, tokens, _ = issue_and_register(consortium, docs)
+    verify = dict(issued=list(zip(tokens, docs)), bm=consortium.bm_keys[0], policy=POLICY, at=T0 + HOUR)
+    blind = replace(state, header_index={h: n for h, n in state.header_index.items() if n != 1})
+    assert chain_bytes(blind) == chain_bytes(state)
+    assert check_consistency([state, state, state], **verify)
+    assert not check_consistency([state, state, blind], **verify)
 
 
 def test_submission_rate_zero_produces_nothing():

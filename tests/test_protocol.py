@@ -26,6 +26,7 @@ from dhp.protocol import (
     ViolationReason,
     audit_manifest,
     bm_verify,
+    check_credential,
     check_policy,
     format_policy,
     hsa_register,
@@ -163,7 +164,7 @@ def record_tested_at(consortium, tested_at, method=None, result=True):
         tested_at=tested_at,
         method=method,
         issuer_id=thf.owner,
-        issuer_signature=sign(thf.secret, preimage),
+        issuer_signature=sign(thf, preimage),
     )
 
 
@@ -291,6 +292,7 @@ def test_bm_verify_receipt_matches_outcome_in_all_scenarios(consortium):
     ]
     for token, presented, at in scenarios:
         outcome, receipt = bm_verify(consortium.bm_keys[0], state, token, presented, POLICY, at)
+        assert check_credential(state, token, presented, POLICY, at) == outcome
         assert receipt.outcome_status is outcome.status
         assert receipt.checked_at == outcome.checked_at == at
 
@@ -415,7 +417,7 @@ def test_audit_manifest_detects_forged_receipt(consortium):
         receipts[1].bm_id, receipts[1].token_header_hash, receipts[1].record_index,
         receipts[1].outcome_status, receipts[1].checked_at,
     )
-    forged = replace(receipts[1], bm_signature=sign(outsider.secret, forged_preimage))
+    forged = replace(receipts[1], bm_signature=sign(outsider, forged_preimage))
     manifest = [(t.header_hash, t.record_index) for t in tokens]
     with pytest.raises(BadReceiptSignature) as err:
         audit_manifest([receipts[0], forged], manifest)
@@ -437,7 +439,7 @@ def test_audit_manifest_registry_rejects_unregistered_member(consortium):
         record_index=tokens[0].record_index,
         outcome_status=OutcomeStatus.VALID,
         checked_at=T0,
-        bm_signature=sign(rogue_bm.secret, preimage),
+        bm_signature=sign(rogue_bm, preimage),
     )
     manifest = [(tokens[0].header_hash, tokens[0].record_index)]
     assert audit_manifest([rogue_receipt], manifest) == []  # self-consistent signature

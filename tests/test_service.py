@@ -5,10 +5,11 @@ from random import Random
 import pytest
 
 from dhp.core import EncodingError, Role
-from dhp.ledger import header_hash
+from dhp.ledger import MAX_BLOCK_RECORDS, header_hash
 from dhp.protocol import OutcomeStatus, ViolationReason, format_policy, thf_issue
 from dhp.service import (
     ERR_NOT_FOUND,
+    ERR_REJECTED,
     ERR_WRONG_ROLE,
     BmNode,
     HsaNode,
@@ -314,6 +315,55 @@ def test_two_authorities_alternate_over_sockets(tmp_path):
     finally:
         for node in nodes:
             node.stop()
+
+
+@pytest.fixture
+def solo(tmp_path):
+    """The only authority of its registry, started, whose timer never cuts a
+    block: blocks are made by calling propose_once()."""
+    c = Consortium(num_hsa=1, num_thf=1, num_bm=0, genesis_time=0)
+    save_registry(tmp_path / "registry.txt", c.registry)
+    save_keypair(tmp_path / "hsa0.key", c.hsa_keys[0])
+    hsa = HsaNode(NodeConfig(
+        role=Role.HSA,
+        listen=("127.0.0.1", 0),
+        data_dir=tmp_path / "hsa0",
+        registry_file=tmp_path / "registry.txt",
+        key_file=tmp_path / "hsa0.key",
+        block_interval=3600,
+    ))
+    hsa.start()
+    yield c, hsa
+    hsa.stop()
+
+
+def test_overload_is_cut_into_capped_blocks(solo):
+    c, hsa = solo
+    pendings = [issue(c, i) for i in range(MAX_BLOCK_RECORDS + 76)]
+    with connect(hsa, c.thf_keys[0], c.registry) as client:
+        for p in pendings:
+            client.submit_dhp(p)
+    first, second = hsa.propose_once(), hsa.propose_once()
+    assert (first.header.height, len(first.records)) == (1, MAX_BLOCK_RECORDS)
+    assert (second.header.height, len(second.records)) == (2, 76)
+    # The oldest submissions go first.
+    assert {r.commitment for r in first.records} == {p.record.commitment for p in pendings[:MAX_BLOCK_RECORDS]}
+
+
+def test_submit_refuses_a_credential_tested_in_the_future(solo):
+    c, hsa = solo
+    ahead = int(time.time()) + 3600
+    poison = thf_issue(c.thf_keys[0], make_doc(70), True, c.method, ahead, now=ahead, rng=Random(70))
+    good = issue(c, 71)
+    with connect(hsa, c.thf_keys[0], c.registry) as client:
+        with pytest.raises(ServiceError) as err:
+            client.submit_dhp(poison)
+        assert err.value.code == ERR_REJECTED
+        ack, _ = client.submit_dhp(good)
+        block = hsa.propose_once()
+        assert block.header.height == 1
+        assert [r.commitment for r in block.records] == [ack]
+        assert client.get_token(ack) is not None
 
 
 def test_node_rejects_mismatched_key_role(tmp_path):
