@@ -18,6 +18,7 @@ import struct
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from enum import Enum
+from functools import cached_property
 
 SIGNING_TAG = b"DHPv1|"
 
@@ -119,6 +120,14 @@ class HealthPassport:
     method: TestMethod
     issuer_id: ActorId
     issuer_signature: bytes
+
+    @cached_property
+    def signing_bytes(self) -> bytes:
+        """record_signing_bytes(self), encoded on first use and kept in the
+        instance dict, outside the fields: equality, hashing and repr ignore
+        it, dataclasses.replace builds a record with its own, and an
+        EncodingError is raised on every access, never cached."""
+        return record_signing_bytes(self)
 
 
 @dataclass(frozen=True)

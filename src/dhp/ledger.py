@@ -24,7 +24,6 @@ from .core import (
     Role,
     TestMethod,
     TravelDocument,
-    record_signing_bytes,
 )
 from .crypto import KeyPair, Salt, commit, sign, verify_sig
 
@@ -170,7 +169,7 @@ def merkle_root(records: tuple[HealthPassport, ...] | list[HealthPassport]) -> b
     if not records:
         return hashlib.sha256(EMPTY_TAG).digest()
     layer = [
-        hashlib.sha256(LEAF_TAG + record_signing_bytes(r) + r.issuer_signature).digest()
+        hashlib.sha256(LEAF_TAG + r.signing_bytes + r.issuer_signature).digest()
         for r in records
     ]
     while len(layer) > 1:
@@ -234,7 +233,7 @@ def propose_block(
         issuer = state.issuer_registry.get(record.issuer_id.id)
         if issuer is None:
             raise InvalidPendingRecord(i, "unknown issuer")
-        if not verify_sig(issuer.public_key, record_signing_bytes(record), record.issuer_signature):
+        if not verify_sig(issuer.public_key, record.signing_bytes, record.issuer_signature):
             raise InvalidPendingRecord(i, "bad issuer signature")
         if record.tested_at > now + CLOCK_SKEW_SECONDS:
             raise InvalidPendingRecord(i, "tested_at is in the future")
@@ -282,17 +281,17 @@ def validate_block(
         return BlockError.BAD_AUTHORITY_SIG
     if not 1 <= len(block.records) <= max_records:
         return BlockError.BAD_RECORD_COUNT
-    if merkle_root(block.records) != header.merkle_root:
+    try:
+        root = merkle_root(block.records)
+    except EncodingError:  # a record without signed bytes has no valid signature
+        return BlockError.BAD_RECORD_SIG
+    if root != header.merkle_root:
         return BlockError.BAD_MERKLE_ROOT
     for record in block.records:
         issuer = state.issuer_registry.get(record.issuer_id.id)
         if issuer is None or record.issuer_id.role is not Role.THF:
             return BlockError.UNKNOWN_ISSUER
-        try:
-            preimage = record_signing_bytes(record)
-        except EncodingError:
-            return BlockError.BAD_RECORD_SIG
-        if not verify_sig(issuer.public_key, preimage, record.issuer_signature):
+        if not verify_sig(issuer.public_key, record.signing_bytes, record.issuer_signature):
             return BlockError.BAD_RECORD_SIG
     for a, b in zip(block.records, block.records[1:]):
         if a.commitment >= b.commitment:
@@ -362,41 +361,6 @@ def fork_choice(candidates: list[ChainState]) -> ChainState:
     return min(candidates, key=lambda s: (-len(s.blocks), header_hash(s.tip.header)))
 
 
-def revalidate_chain(state: ChainState, now: int, clock_skew: int = CLOCK_SKEW_SECONDS) -> tuple[int, BlockError] | None:
-    """Full revalidation from genesis; None if sound, else (height, error).
-
-    The oracle behind audits: rebuilds the chain block by block through
-    validate_block and cross-checks the derived indexes.
-    """
-    genesis = state.blocks[0]
-    expected = ChainState.genesis(
-        Registry(members=state.authority_set + tuple(state.issuer_registry.values())),
-        genesis_time=genesis.header.block_time,
-    ).blocks[0]
-    for got, want, error in (
-        (genesis.header.height, expected.header.height, BlockError.WRONG_HEIGHT),
-        (genesis.header.prev_hash, expected.header.prev_hash, BlockError.BAD_PREV_HASH),
-        (genesis.header.authority_id, expected.header.authority_id, BlockError.WRONG_AUTHORITY),
-        (genesis.header.authority_signature, b"", BlockError.BAD_AUTHORITY_SIG),
-        (genesis.records, (), BlockError.BAD_RECORD_COUNT),
-        (genesis.header.merkle_root, expected.header.merkle_root, BlockError.BAD_MERKLE_ROOT),
-    ):
-        if got != want:
-            return (0, error)
-    rebuilt = ChainState.genesis(
-        Registry(members=state.authority_set + tuple(state.issuer_registry.values())),
-        genesis_time=genesis.header.block_time,
-    )
-    for block in state.blocks[1:]:
-        error = validate_block(rebuilt, block, now, clock_skew)
-        if error is not None:
-            return (block.header.height, error)
-        rebuilt = append_block(rebuilt, block, now, clock_skew)
-    if rebuilt.index != state.index or rebuilt.header_index != state.header_index:
-        raise DhpError("chain indexes inconsistent with blocks")
-    return None
-
-
 # --- canonical wire frames -------------------------------------------------
 #
 # record frame : commitment(32) result(1) tested_at(8) mlen(1) method
@@ -441,7 +405,7 @@ class _Reader:
 
 
 def record_bytes(record: HealthPassport) -> bytes:
-    body = record_signing_bytes(record)[len(b"DHPv1|"):]
+    body = record.signing_bytes[len(b"DHPv1|"):]
     return body + struct.pack(">H", len(record.issuer_signature)) + record.issuer_signature
 
 

@@ -29,7 +29,6 @@ from .core import (
     TravelDocument,
     canonical_doc_bytes,
     dhp_signing_bytes,
-    record_signing_bytes,
 )
 from .crypto import KeyPair, Salt, commit, keygen, new_salt, sign, verify_sig
 from .ledger import (
@@ -304,7 +303,7 @@ def bm_verify(
 
 def _record_signature_ok(record: HealthPassport, issuer: ActorId) -> bool:
     try:
-        preimage = record_signing_bytes(record)
+        preimage = record.signing_bytes
     except EncodingError:
         return False
     return verify_sig(issuer.public_key, preimage, record.issuer_signature)

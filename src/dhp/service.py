@@ -45,7 +45,6 @@ from .core import (
     TravelDocument,
     canonical_doc_bytes,
     decode_doc_bytes,
-    record_signing_bytes,
 )
 from .crypto import KeyPair, sign, verify_sig
 from .ledger import (
@@ -55,6 +54,7 @@ from .ledger import (
     BlockHeader,
     ChainState,
     DhpToken,
+    InvalidBlock,
     append_block,
     block_bytes,
     header_bytes,
@@ -65,7 +65,6 @@ from .ledger import (
     propose_block,
     scheduled_authority,
     token_bytes,
-    validate_block,
 )
 from .protocol import (
     OutcomeStatus,
@@ -319,18 +318,19 @@ class Node:
             if height > expected:
                 self._orphans[height] = block
                 return True
-            state = self._state
-            while True:
-                error = validate_block(state, block, int(time.time()))
-                if error is not None:
-                    return False
-                state = append_block(state, block, int(time.time()))
-                self._log.append(block)
-                block = self._orphans.pop(len(state.blocks), None)
-                if block is None:
-                    break
-            self._state = state
-            return True
+            # Each block is logged, then published, so disk and memory hold
+            # the same chain. A buffered orphan that fails is dropped and ends
+            # the drain; the blocks before it stay.
+            now = int(time.time())
+            try:
+                while block is not None:
+                    state = append_block(self._state, block, now)
+                    self._log.append(block)
+                    self._state = state
+                    block = self._orphans.pop(len(state.blocks), None)
+            except InvalidBlock:
+                pass
+            return len(self._state.blocks) > expected
 
     def sync_from_peers(self) -> None:
         """One catch-up pass: fetch missing blocks from each peer."""
@@ -420,7 +420,7 @@ class HsaNode(Node):
         issuer = self.registry.issuers().get(pending.record.issuer_id.id)
         if issuer is None:
             return _error(ERR_UNKNOWN_ISSUER, "issuer is not registered")
-        if not verify_sig(issuer.public_key, record_signing_bytes(pending.record), pending.record.issuer_signature):
+        if not verify_sig(issuer.public_key, pending.record.signing_bytes, pending.record.issuer_signature):
             return _error(ERR_REJECTED, "bad issuer signature")
         # The rule propose_block applies: admitted, such a record would fail every proposal.
         if pending.record.tested_at > int(time.time()) + CLOCK_SKEW_SECONDS:

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from dhp.core import EncodingError, Role, record_signing_bytes
+from dhp.core import EncodingError, Role, TestMethod, record_signing_bytes
 from dhp.crypto import Salt, sign
 from dhp.ledger import (
     Block,
@@ -33,12 +33,12 @@ from dhp.ledger import (
     parse_token,
     propose_block,
     record_bytes,
-    revalidate_chain,
     scheduled_authority,
     token_bytes,
     validate_block,
 )
 from dhp.protocol import thf_issue
+from dhp.storage import BlockLog, replay_block_log
 
 from conftest import Consortium, make_doc, seeded_key
 
@@ -81,6 +81,9 @@ def test_merkle_single_record_is_leaf(consortium):
         b"LEAF|" + record_signing_bytes(p.record) + p.record.issuer_signature
     ).digest()
     assert merkle_root((p.record,)) == leaf
+    assert p.record.signing_bytes == record_signing_bytes(p.record)
+    later = replace(p.record, tested_at=p.record.tested_at + 1)
+    assert later.signing_bytes == record_signing_bytes(later) != p.record.signing_bytes
 
 
 def test_merkle_two_records_hand_composed(consortium):
@@ -264,6 +267,12 @@ def test_validate_errors_in_precedence_order(consortium):
     )
     assert validate_block(state, bad_record, T0 + 200) is BlockError.BAD_RECORD_SIG
 
+    # a method code with no signed encoding: refused again on the next call
+    records = (replace(block.records[0], method=TestMethod("RT qPCR")),) + block.records[1:]
+    unencodable = Block(block.header, records)
+    for _ in range(2):
+        assert validate_block(state, unencodable, T0 + 200) is BlockError.BAD_RECORD_SIG
+
     swapped = (block.records[1], block.records[0])
     out_of_order = resign(
         Block(replace(block.header, merkle_root=merkle_root(swapped)), swapped), hsa
@@ -348,14 +357,22 @@ def grow_chain(c: Consortium, blocks: int, per_block: int = 2):
     return state
 
 
-def test_hundred_appends_revalidate_at_every_prefix(consortium):
+def test_hundred_appends_revalidate_at_every_prefix(consortium, tmp_path):
     state = grow_chain(consortium, 100, per_block=1)
     assert len(state.blocks) == 101
     for k in (1, 2, 10, 50, 101):
         prefix = state.blocks[:k]
         for i in range(1, len(prefix)):
             assert prefix[i].header.prev_hash == header_hash(prefix[i - 1].header)
-    assert revalidate_chain(state, now=T0 + 100_000) is None
+    log = BlockLog(tmp_path / "blocks.log")
+    for block in state.blocks[1:]:
+        log.append(block)
+    replayed, torn = replay_block_log(log.path, consortium.registry, T0 + 100_000, strict=True,
+                                      genesis_time=consortium.genesis_time)
+    assert torn is None
+    assert header_hash(replayed.tip.header) == header_hash(state.tip.header)
+    assert replayed.index == state.index
+    assert replayed.header_index == state.header_index
 
 
 def test_immutability_of_earlier_blocks(consortium):
@@ -491,6 +508,9 @@ def test_record_frame_round_trip(consortium):
     record = issue(consortium, 5).record
     parsed = parse_record(record_bytes(record), consortium.state.issuer_registry)
     assert parsed == record
+    # the preimage kept on one of two equal records changes neither equality nor hash
+    assert record.signing_bytes
+    assert parsed == record and hash(parsed) == hash(record) and repr(parsed) == repr(record)
 
 
 def test_record_frame_strictness(consortium):

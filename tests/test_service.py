@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from dhp.core import EncodingError, Role
-from dhp.ledger import MAX_BLOCK_RECORDS, header_hash
+from dhp.ledger import MAX_BLOCK_RECORDS, Block, append_block, header_hash, propose_block
 from dhp.protocol import OutcomeStatus, ViolationReason, format_policy, thf_issue
 from dhp.service import (
     ERR_NOT_FOUND,
@@ -364,6 +364,39 @@ def test_submit_refuses_a_credential_tested_in_the_future(solo):
         assert block.header.height == 1
         assert [r.commitment for r in block.records] == [ack]
         assert client.get_token(ack) is not None
+
+
+def test_orphan_that_fails_keeps_disk_and_memory_in_step(tmp_path):
+    """Block 2 with a zeroed authority signature waits as an orphan; block 1
+    is then accepted, the orphan is dropped, and the log replays to block 1."""
+    c = Consortium(num_hsa=1, num_thf=1, num_bm=1, genesis_time=0)
+    save_registry(tmp_path / "registry.txt", c.registry)
+    save_keypair(tmp_path / "bm0.key", c.bm_keys[0])
+    (tmp_path / "policy.txt").write_text(format_policy(POLICY))
+    config = NodeConfig(
+        role=Role.BM,
+        listen=("127.0.0.1", 0),
+        data_dir=tmp_path / "bm0",
+        registry_file=tmp_path / "registry.txt",
+        key_file=tmp_path / "bm0.key",
+        policy_file=tmp_path / "policy.txt",
+    )
+    now = int(time.time())
+    block1 = propose_block(c.state, [issue(c, 80).record], c.hsa_keys[0], now)
+    block2 = propose_block(append_block(c.state, block1, now), [issue(c, 81).record], c.hsa_keys[0], now)
+    forged2 = Block(replace(block2.header, authority_signature=b"\x00" * 64), block2.records)
+    bm = BmNode(config)
+    bm.start()
+    try:
+        with connect(bm, c.hsa_keys[0], c.registry) as client:
+            assert client.announce_block(forged2)
+            assert client.announce_block(block1)
+            assert bm.state.height == 1
+            assert not bm._orphans
+            assert client.announce_block(block1)  # a repeat is not logged again
+    finally:
+        bm.stop()
+    assert BmNode(config).state.height == 1
 
 
 def test_node_rejects_mismatched_key_role(tmp_path):
