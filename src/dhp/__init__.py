@@ -22,7 +22,6 @@ from .ledger import (
     ChainState,
     DhpToken,
     append_block,
-    fork_choice,
     header_hash,
     lookup_by_token,
     merkle_root,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, timedelta
 from enum import Enum
 from functools import cached_property
@@ -51,13 +51,6 @@ class Role(Enum):
     HSA = 2       # health service authority: the only block producer
     BM = 3        # read-only consortium member (airline, border control)
     CITIZEN = 4   # traveller-side wallet key, never a consortium member
-
-    @classmethod
-    def from_byte(cls, value: int) -> "Role":
-        try:
-            return cls(value)
-        except ValueError:
-            raise EncodingError(f"unknown role byte {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -212,9 +205,32 @@ def decode_doc_bytes(data: bytes) -> TravelDocument:
     number = data[2:2 + n].decode("ascii", errors="replace")
     country = data[2 + n:2 + n + 3].decode("ascii", errors="replace")
     (days,) = struct.unpack_from(">I", data, 2 + n + 3)
-    doc = TravelDocument(number, country, DOC_EPOCH + timedelta(days=days))
+    try:
+        doc = TravelDocument(number, country, DOC_EPOCH + timedelta(days=days))
+    except OverflowError:
+        raise EncodingError(f"expiry day count {days} is past {date.max}") from None
     canonical_doc_bytes(doc)  # re-validate so only valid documents round-trip
     return doc
+
+
+def parse_key_values(text: str, what: str) -> dict[str, str]:
+    """Parse `key = value` lines; blank lines and `#` comments are skipped.
+
+    Errors name the line as `<what> line N`. A repeated key is an error.
+    """
+    values: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise EncodingError(f"{what} line {lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in values:
+            raise EncodingError(f"{what} line {lineno}: duplicate key {key!r}")
+        values[key] = value.strip()
+    return values
 
 
 def method_code_bytes(method: TestMethod) -> bytes:

@@ -112,8 +112,10 @@ def verify_sig(public: bytes, message: bytes, signature: bytes) -> bool:
     return _verify_cached(public, message, signature)
 
 
-# Every replica revalidates the same record signatures on append; memoising
-# the (pure) verification cuts most of that cost in simulations.
+# Verification is pure, so it is memoised for the three places that check a
+# signature again: repeat gate checks of one credential at a member, an
+# authority appending the block it built from records it admitted, and the
+# simulator's in-process replicas, which each append every block.
 @lru_cache(maxsize=1 << 16)
 def _verify_cached(public: bytes, message: bytes, signature: bytes) -> bool:
     try:

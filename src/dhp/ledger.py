@@ -1,5 +1,6 @@
 """The consortium blockchain: blocks of signed credentials, Merkle commitments,
-proof-of-authority validation, append/fork-choice, and token-based lookup.
+credential admission, proof-of-authority validation and append, and
+token-based lookup.
 
 Authorities rotate round-robin by height; a block is final once the scheduled
 authority appends it. Record order inside a block is canonical (ascending by
@@ -58,10 +59,6 @@ class InvalidPendingRecord(DhpError):
         super().__init__(f"pending record {index}: {reason}")
         self.index = index
         self.reason = reason
-
-
-class NoValidCandidate(DhpError):
-    pass
 
 
 class BlockError(Enum):
@@ -207,19 +204,43 @@ def scheduled_authority(height: int, authority_set: tuple[ActorId, ...]) -> Acto
     return authority_set[height % len(authority_set)]
 
 
+def check_issuer(state: ChainState, record: HealthPassport) -> BlockError | None:
+    """None iff a registered testing facility signed the record's preimage;
+    a record whose fields have no canonical encoding has no valid signature."""
+    issuer = state.issuer_registry.get(record.issuer_id.id)
+    if issuer is None or record.issuer_id.role is not Role.THF:
+        return BlockError.UNKNOWN_ISSUER
+    try:
+        preimage = record.signing_bytes
+    except EncodingError:
+        return BlockError.BAD_RECORD_SIG
+    if not verify_sig(issuer.public_key, preimage, record.issuer_signature):
+        return BlockError.BAD_RECORD_SIG
+    return None
+
+
+def admit(state: ChainState, record: HealthPassport, now: int) -> BlockError | None:
+    """None iff a submitted credential may wait for a block: its issuer checks
+    out and it was not tested more than CLOCK_SKEW_SECONDS after `now`, so no
+    block sealed at `now` or later refuses it."""
+    error = check_issuer(state, record)
+    if error is None and record.tested_at > now + CLOCK_SKEW_SECONDS:
+        return BlockError.BAD_TIMESTAMP
+    return error
+
+
 def propose_block(
     state: ChainState,
     pending: list[HealthPassport],
     hsa: KeyPair,
     now: int,
-    max_records: int = MAX_BLOCK_RECORDS,
 ) -> Block:
-    """Build the next block from pending credentials.
+    """Build the next block from admitted credentials.
 
     The proposer must be the authority scheduled for tip+1. Pending records are
-    checked against the issuer registry, deduplicated (byte-identical repeats),
-    rejected if their commitment is already on-chain or collides with a
-    differing pending record, and sorted into canonical order.
+    deduplicated (byte-identical repeats), rejected if their commitment is
+    already on-chain or collides with a differing pending record, and sorted
+    into canonical order. append_block validates the result.
     """
     height = len(state.blocks)
     sched = scheduled_authority(height, state.authority_set)
@@ -230,13 +251,6 @@ def propose_block(
 
     chosen: dict[bytes, HealthPassport] = {}
     for i, record in enumerate(pending):
-        issuer = state.issuer_registry.get(record.issuer_id.id)
-        if issuer is None:
-            raise InvalidPendingRecord(i, "unknown issuer")
-        if not verify_sig(issuer.public_key, record.signing_bytes, record.issuer_signature):
-            raise InvalidPendingRecord(i, "bad issuer signature")
-        if record.tested_at > now + CLOCK_SKEW_SECONDS:
-            raise InvalidPendingRecord(i, "tested_at is in the future")
         if record.commitment in state.index:
             raise InvalidPendingRecord(i, "commitment already on-chain")
         prior = chosen.get(record.commitment)
@@ -245,8 +259,8 @@ def propose_block(
                 raise InvalidPendingRecord(i, "commitment collides with a differing record")
             continue  # byte-identical duplicate
         chosen[record.commitment] = record
-    if len(chosen) > max_records:
-        raise OversizedBatch(f"{len(chosen)} records exceed the {max_records}-record block limit")
+    if len(chosen) > MAX_BLOCK_RECORDS:
+        raise OversizedBatch(f"{len(chosen)} records exceed the {MAX_BLOCK_RECORDS}-record block limit")
 
     records = tuple(sorted(chosen.values(), key=lambda r: r.commitment))
     header = BlockHeader(
@@ -261,13 +275,7 @@ def propose_block(
     return Block(header=replace(header, authority_signature=signature), records=records)
 
 
-def validate_block(
-    state: ChainState,
-    block: Block,
-    now: int,
-    clock_skew: int = CLOCK_SKEW_SECONDS,
-    max_records: int = MAX_BLOCK_RECORDS,
-) -> BlockError | None:
+def validate_block(state: ChainState, block: Block, now: int) -> BlockError | None:
     """None iff the block extends the chain; otherwise the first failure."""
     header = block.header
     if header.height != len(state.blocks):
@@ -279,7 +287,7 @@ def validate_block(
         return BlockError.WRONG_AUTHORITY
     if not verify_sig(sched.public_key, header_signing_bytes(header), header.authority_signature):
         return BlockError.BAD_AUTHORITY_SIG
-    if not 1 <= len(block.records) <= max_records:
+    if not 1 <= len(block.records) <= MAX_BLOCK_RECORDS:
         return BlockError.BAD_RECORD_COUNT
     try:
         root = merkle_root(block.records)
@@ -288,29 +296,22 @@ def validate_block(
     if root != header.merkle_root:
         return BlockError.BAD_MERKLE_ROOT
     for record in block.records:
-        issuer = state.issuer_registry.get(record.issuer_id.id)
-        if issuer is None or record.issuer_id.role is not Role.THF:
-            return BlockError.UNKNOWN_ISSUER
-        if not verify_sig(issuer.public_key, record.signing_bytes, record.issuer_signature):
-            return BlockError.BAD_RECORD_SIG
+        error = check_issuer(state, record)
+        if error is not None:
+            return error
     for a, b in zip(block.records, block.records[1:]):
         if a.commitment >= b.commitment:
             return BlockError.BAD_ORDERING
-    if header.block_time < state.tip.header.block_time or header.block_time > now + clock_skew:
+    if header.block_time < state.tip.header.block_time or header.block_time > now + CLOCK_SKEW_SECONDS:
         return BlockError.BAD_TIMESTAMP
-    if any(r.tested_at > header.block_time + clock_skew for r in block.records):
+    if any(r.tested_at > header.block_time + CLOCK_SKEW_SECONDS for r in block.records):
         return BlockError.BAD_TIMESTAMP
     return None
 
 
-def append_block(
-    state: ChainState,
-    block: Block,
-    now: int,
-    clock_skew: int = CLOCK_SKEW_SECONDS,
-) -> ChainState:
+def append_block(state: ChainState, block: Block, now: int) -> ChainState:
     """Validated append; returns the extended state, raises InvalidBlock else."""
-    error = validate_block(state, block, now, clock_skew)
+    error = validate_block(state, block, now)
     if error is not None:
         raise InvalidBlock(error)
     index = dict(state.index)
@@ -352,13 +353,6 @@ def lookup_by_token(state: ChainState, token: DhpToken, doc: TravelDocument) -> 
     if commit(doc, token.salt) != record.commitment:
         return LookupResult(LookupStatus.COMMITMENT_MISMATCH, location=location)
     return LookupResult(LookupStatus.FOUND, record=record, location=location)
-
-
-def fork_choice(candidates: list[ChainState]) -> ChainState:
-    """Longest chain; ties broken by lexicographically smallest tip hash."""
-    if not candidates:
-        raise NoValidCandidate("no candidate chains")
-    return min(candidates, key=lambda s: (-len(s.blocks), header_hash(s.tip.header)))
 
 
 # --- canonical wire frames -------------------------------------------------
@@ -415,7 +409,10 @@ def _parse_record(r: _Reader, issuers: dict[bytes, ActorId]) -> HealthPassport:
     if result_byte not in (0, 1):
         raise EncodingError(f"non-canonical result byte {result_byte:#04x}")
     tested_at = r.u64()
-    method = TestMethod.named(r.take(r.u8()).decode("utf-8"))
+    try:
+        method = TestMethod.named(r.take(r.u8()).decode("utf-8"))
+    except UnicodeDecodeError:
+        raise EncodingError("method code is not UTF-8") from None
     issuer_id = r.take(16)
     signature = r.take(r.u16())
     issuer = issuers.get(issuer_id, ActorId(role=Role.THF, id=issuer_id, public_key=b""))

@@ -28,7 +28,7 @@ from datetime import date
 from enum import Enum
 from random import Random
 
-from .core import DhpError, HygienePolicy, Registry, Role, TestMethod, TravelDocument
+from .core import DhpError, EncodingError, HygienePolicy, Registry, Role, TestMethod, TravelDocument, parse_key_values
 from .crypto import keygen
 from .ledger import (
     MAX_BLOCK_RECORDS,
@@ -37,13 +37,11 @@ from .ledger import (
     DhpToken,
     append_block,
     chain_bytes,
-    fork_choice,
     header_hash,
-    propose_block,
     scheduled_authority,
 )
 # bm_verify is not called here, but the benchmark's tracer wraps dhp.netsim.bm_verify by name.
-from .protocol import PendingDhp, bm_verify, check_credential, thf_issue  # noqa: F401
+from .protocol import PendingDhp, bm_verify, check_credential, hsa_register, thf_issue  # noqa: F401
 
 ROUND_SECONDS = 60
 SIM_BASE_TIME = 1_600_000_000
@@ -131,8 +129,8 @@ class SimReport:
 
 
 class _Replica:
-    """One node's observed chain: buffers out-of-order blocks, applies
-    contiguous extensions, and lets fork choice pick the resulting chain."""
+    """One node's observed chain: buffers out-of-order blocks and appends
+    contiguous extensions (one authority per height, so only one chain)."""
 
     def __init__(self, name: str, genesis: ChainState):
         self.name = name
@@ -150,12 +148,10 @@ class _Replica:
 
     def _apply(self, now: int) -> list[int]:
         applied = []
-        extended = self.state
-        while len(extended.blocks) in self.buffer:
-            height = len(extended.blocks)
-            extended = append_block(extended, self.buffer.pop(height), now)
+        while len(self.state.blocks) in self.buffer:
+            height = len(self.state.blocks)
+            self.state = append_block(self.state, self.buffer.pop(height), now)
             applied.append(height)
-        self.state = fork_choice([self.state, extended])
         return applied
 
 
@@ -252,13 +248,11 @@ def run_simulation(config: SimConfig) -> SimReport:
 
     def propose(proposer_i: int, batch: list[tuple[int, PendingDhp]], r: int, delays_off: bool) -> None:
         nonlocal canon, next_seq
-        block = propose_block(canon, [p.record for _, p in batch], hsa_keys[proposer_i], round_time(r))
-        canon = append_block(canon, block, round_time(r))
+        canon, tokens = hsa_register(hsa_keys[proposer_i], canon, [p for _, p in batch], round_time(r))
+        block = canon.tip
         height = block.header.height
         block_hash = header_hash(block.header)
-        position = {rec.commitment: i for i, rec in enumerate(block.records)}
-        for dhp_id, p in batch:
-            token = DhpToken(block_hash, position[p.record.commitment], p.salt)
+        for (dhp_id, _), token in zip(batch, tokens):
             _, doc, _ = issued[dhp_id]
             issued[dhp_id] = (token, doc, dhp_id)
         block_dhps[height] = tuple(dhp_id for dhp_id, _ in batch)
@@ -412,15 +406,10 @@ def parse_sim_config(text: str) -> SimConfig:
     delay_model is `zero`, `uniform:N`, or
     `partition:node:start:end[,node:start:end...]`.
     """
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise InvalidConfig(f"config line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+    try:
+        values = parse_key_values(text, "config")
+    except EncodingError as exc:
+        raise InvalidConfig(str(exc)) from None
 
     known = {"rng_seed", "num_hsa", "num_bm", "rounds", "submission_rate", "delay_model", "theta"}
     unknown = set(values) - known

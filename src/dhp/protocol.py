@@ -29,13 +29,16 @@ from .core import (
     TravelDocument,
     canonical_doc_bytes,
     dhp_signing_bytes,
+    parse_key_values,
 )
 from .crypto import KeyPair, Salt, commit, keygen, new_salt, sign, verify_sig
 from .ledger import (
+    BlockError,
     ChainState,
     DhpToken,
     LookupStatus,
     append_block,
+    check_issuer,
     header_hash,
     lookup_by_token,
     propose_block,
@@ -105,7 +108,6 @@ class PendingDhp:
 
     record: HealthPassport
     salt: Salt
-    thf_id: ActorId
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,7 @@ def thf_issue(
         issuer_id=thf.owner,
         issuer_signature=sign(thf, preimage),
     )
-    return PendingDhp(record=record, salt=salt, thf_id=thf.owner)
+    return PendingDhp(record=record, salt=salt)
 
 
 def hsa_register(
@@ -177,24 +179,18 @@ def hsa_register(
     pending: list[PendingDhp],
     now: int,
 ) -> tuple[ChainState, list[DhpToken]]:
-    """Batch pending credentials into one block and mint traveller tokens.
+    """Batch pending credentials into one block, append it, and mint
+    traveller tokens; the block is the returned state's tip.
 
     Tokens are order-aligned with the input list; their record_index points at
-    the post-sort canonical position inside the block.
+    the post-sort canonical position inside the block. A credential that
+    ledger.admit refuses makes the append raise InvalidBlock.
     """
     block = propose_block(state, [p.record for p in pending], hsa, now)
     new_state = append_block(state, block, now)
     block_hash = header_hash(block.header)
     position = {record.commitment: i for i, record in enumerate(block.records)}
-    tokens = [
-        DhpToken(
-            header_hash=block_hash,
-            record_index=position[p.record.commitment],
-            salt=p.salt,
-        )
-        for p in pending
-    ]
-    return new_state, tokens
+    return new_state, [DhpToken(block_hash, position[p.record.commitment], p.salt) for p in pending]
 
 
 def check_policy(dhp: HealthPassport, policy: HygienePolicy, at: int) -> ViolationReason | None:
@@ -253,14 +249,13 @@ def check_credential(
     elif found.status is LookupStatus.COMMITMENT_MISMATCH:
         status = OutcomeStatus.COMMITMENT_MISMATCH
     else:
-        record = found.record
-        issuer = state.issuer_registry.get(record.issuer_id.id)
-        if issuer is None:
+        error = check_issuer(state, found.record)
+        if error is BlockError.UNKNOWN_ISSUER:
             status = OutcomeStatus.UNKNOWN_ISSUER
-        elif not _record_signature_ok(record, issuer):
+        elif error is not None:
             status = OutcomeStatus.BAD_ISSUER_SIGNATURE
         else:
-            violation = check_policy(record, policy, at)
+            violation = check_policy(found.record, policy, at)
             if violation is not None:
                 status = OutcomeStatus.POLICY_VIOLATION
 
@@ -299,14 +294,6 @@ def bm_verify(
         bm_signature=sign(bm, preimage),
     )
     return outcome, receipt
-
-
-def _record_signature_ok(record: HealthPassport, issuer: ActorId) -> bool:
-    try:
-        preimage = record.signing_bytes
-    except EncodingError:
-        return False
-    return verify_sig(issuer.public_key, preimage, record.issuer_signature)
 
 
 def audit_manifest(
@@ -353,7 +340,7 @@ def parse_pending(data: bytes, issuers: dict[bytes, ActorId]) -> PendingDhp:
     if len(data) < 16:
         raise EncodingError("pending frame too short")
     record = parse_record(data[:-16], issuers)
-    return PendingDhp(record=record, salt=Salt(data[-16:]), thf_id=record.issuer_id)
+    return PendingDhp(record=record, salt=Salt(data[-16:]))
 
 
 def receipt_frame_bytes(receipt: VerificationReceipt) -> bytes:
@@ -400,19 +387,7 @@ def parse_policy(text: str) -> HygienePolicy:
     Keys: accepted_methods (comma-separated codes), max_test_age_hours
     (positive integer), require_risk_free (true/false, default true).
     """
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise EncodingError(f"policy line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in values:
-            raise EncodingError(f"policy line {lineno}: duplicate key {key!r}")
-        values[key] = value.strip()
-
+    values = parse_key_values(text, "policy")
     unknown = set(values) - {"accepted_methods", "max_test_age_hours", "require_risk_free"}
     if unknown:
         raise EncodingError(f"unknown policy keys: {sorted(unknown)}")

@@ -45,16 +45,18 @@ from .core import (
     TravelDocument,
     canonical_doc_bytes,
     decode_doc_bytes,
+    parse_key_values,
 )
 from .crypto import KeyPair, sign, verify_sig
 from .ledger import (
-    CLOCK_SKEW_SECONDS,
     MAX_BLOCK_RECORDS,
     Block,
+    BlockError,
     BlockHeader,
     ChainState,
     DhpToken,
     InvalidBlock,
+    admit,
     append_block,
     block_bytes,
     header_bytes,
@@ -62,7 +64,6 @@ from .ledger import (
     parse_block,
     parse_header,
     parse_token,
-    propose_block,
     scheduled_authority,
     token_bytes,
 )
@@ -73,6 +74,7 @@ from .protocol import (
     VerificationReceipt,
     ViolationReason,
     bm_verify,
+    hsa_register,
     parse_pending,
     parse_policy,
     parse_receipt_frame,
@@ -160,15 +162,7 @@ def _parse_hostport(text: str) -> tuple[str, int]:
 
 def parse_node_config(text: str, base_dir: Path | None = None) -> NodeConfig:
     """Parse the key = value node config; DHP_DATA_DIR overrides data_dir."""
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise EncodingError(f"config line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+    values = parse_key_values(text, "config")
 
     def path_of(value: str) -> Path:
         p = Path(value)
@@ -205,11 +199,6 @@ def parse_node_config(text: str, base_dir: Path | None = None) -> NodeConfig:
     )
 
 
-class _Session:
-    def __init__(self, member: ActorId):
-        self.member = member
-
-
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
         node: Node = self.server.node  # type: ignore[attr-defined]
@@ -218,19 +207,19 @@ class _Handler(socketserver.BaseRequestHandler):
             nonce = secrets.token_bytes(32)
             send_frame(sock, bytes((MSG_CHALLENGE,)) + nonce)
             frame = recv_frame(sock)
-            session = self._authenticate(node, frame, nonce)
-            if session is None:
+            member = self._authenticate(node, frame, nonce)
+            if member is None:
                 send_frame(sock, _error(ERR_UNAUTHORIZED, "authentication failed"))
                 return
             send_frame(sock, bytes((MSG_AUTH_OK,)))
             while True:
                 frame = recv_frame(sock)
-                send_frame(sock, node.dispatch(session, frame))
+                send_frame(sock, node.dispatch(member, frame))
         except (ConnectionError, OSError, EncodingError):
             return
 
     @staticmethod
-    def _authenticate(node: "Node", frame: bytes, nonce: bytes) -> _Session | None:
+    def _authenticate(node: "Node", frame: bytes, nonce: bytes) -> ActorId | None:
         if len(frame) < 1 + 1 + 16 + 2 or frame[0] != MSG_AUTH:
             return None
         try:
@@ -247,7 +236,7 @@ class _Handler(socketserver.BaseRequestHandler):
             return None
         if not verify_sig(member.public_key, AUTH_TAG + nonce, signature):
             return None
-        return _Session(member)
+        return member
 
 
 class _Server(socketserver.ThreadingTCPServer):
@@ -355,7 +344,7 @@ class Node:
 
     # -- request dispatch
 
-    def dispatch(self, session: _Session, frame: bytes) -> bytes:
+    def dispatch(self, member: ActorId, frame: bytes) -> bytes:
         if not frame:
             return _error(ERR_MALFORMED, "empty frame")
         kind, body = frame[0], frame[1:]
@@ -365,14 +354,14 @@ class Node:
             if kind == MSG_GET_HEAD:
                 return bytes((MSG_HEAD,)) + header_bytes(self._state.tip.header)
             if kind == MSG_ANNOUNCE:
-                return self._handle_announce(session, body)
-            return self.dispatch_role(session, kind, body)
+                return self._handle_announce(member, body)
+            return self.dispatch_role(member, kind, body)
         except EncodingError as exc:
             return _error(ERR_MALFORMED, str(exc))
         except DhpError as exc:
             return _error(ERR_REJECTED, str(exc))
 
-    def dispatch_role(self, session: _Session, kind: int, body: bytes) -> bytes:
+    def dispatch_role(self, member: ActorId, kind: int, body: bytes) -> bytes:
         return _error(ERR_MALFORMED, f"unsupported message {kind:#04x}")
 
     def _handle_get_block(self, body: bytes) -> bytes:
@@ -384,8 +373,8 @@ class Node:
             return _error(ERR_NOT_FOUND, "unknown block")
         return bytes((MSG_BLOCK,)) + block_bytes(state.blocks[height])
 
-    def _handle_announce(self, session: _Session, body: bytes) -> bytes:
-        if session.member.role is not Role.HSA:
+    def _handle_announce(self, member: ActorId, body: bytes) -> bytes:
+        if member.role is not Role.HSA:
             return _error(ERR_WRONG_ROLE, "only authorities announce blocks")
         block = parse_block(body, self.registry)
         accepted = self._apply_block(block)
@@ -406,25 +395,21 @@ class HsaNode(Node):
         super().start()
         threading.Thread(target=self._propose_loop, daemon=True).start()
 
-    def dispatch_role(self, session: _Session, kind: int, body: bytes) -> bytes:
+    def dispatch_role(self, member: ActorId, kind: int, body: bytes) -> bytes:
         if kind == MSG_SUBMIT:
-            return self._handle_submit(session, body)
+            return self._handle_submit(member, body)
         if kind == MSG_GET_TOKEN:
             return self._handle_get_token(body)
-        return super().dispatch_role(session, kind, body)
+        return super().dispatch_role(member, kind, body)
 
-    def _handle_submit(self, session: _Session, body: bytes) -> bytes:
-        if session.member.role is not Role.THF:
+    def _handle_submit(self, member: ActorId, body: bytes) -> bytes:
+        if member.role is not Role.THF:
             return _error(ERR_WRONG_ROLE, "only testing facilities submit credentials")
         pending = parse_pending(body, self.registry.issuers())
-        issuer = self.registry.issuers().get(pending.record.issuer_id.id)
-        if issuer is None:
-            return _error(ERR_UNKNOWN_ISSUER, "issuer is not registered")
-        if not verify_sig(issuer.public_key, pending.record.signing_bytes, pending.record.issuer_signature):
-            return _error(ERR_REJECTED, "bad issuer signature")
-        # The rule propose_block applies: admitted, such a record would fail every proposal.
-        if pending.record.tested_at > int(time.time()) + CLOCK_SKEW_SECONDS:
-            return _error(ERR_REJECTED, "tested_at is in the future")
+        error = admit(self._state, pending.record, int(time.time()))
+        if error is not None:
+            code = ERR_UNKNOWN_ISSUER if error is BlockError.UNKNOWN_ISSUER else ERR_REJECTED
+            return _error(code, error.value)
         commitment = pending.record.commitment
         with self._lock:
             duplicate = commitment in self._mempool or commitment in self._tokens or commitment in self._state.index
@@ -448,7 +433,7 @@ class HsaNode(Node):
         while not self._stop.wait(self.config.block_interval):
             try:
                 self.propose_once()
-            except DhpError:
+            except (DhpError, OSError):
                 continue
 
     def propose_once(self) -> Block | None:
@@ -462,16 +447,14 @@ class HsaNode(Node):
             if not self._mempool:
                 return None
             batch = list(itertools.islice(self._mempool.values(), MAX_BLOCK_RECORDS))
-            now = int(time.time())
-            block = propose_block(state, [p.record for p in batch], self.key, now)
-            self._state = append_block(state, block, now)
+            state, tokens = hsa_register(self.key, state, batch, int(time.time()))
+            block = state.tip
+            # Logged, then published, as in _apply_block: a block that never
+            # reached the disk is neither served nor credited with tokens.
             self._log.append(block)
-            block_hash = header_hash(block.header)
-            position = {rec.commitment: i for i, rec in enumerate(block.records)}
-            for p in batch:
-                self._tokens[p.record.commitment] = DhpToken(
-                    block_hash, position[p.record.commitment], p.salt
-                )
+            self._state = state
+            for p, token in zip(batch, tokens):
+                self._tokens[p.record.commitment] = token
                 self._mempool.pop(p.record.commitment, None)
         self._announce(block)
         return block
@@ -505,10 +488,10 @@ class BmNode(Node):
         self.policy: HygienePolicy = parse_policy(config.policy_file.read_text())
         self._receipts = ReceiptLog(config.data_dir / "receipts.log")
 
-    def dispatch_role(self, session: _Session, kind: int, body: bytes) -> bytes:
+    def dispatch_role(self, member: ActorId, kind: int, body: bytes) -> bytes:
         if kind == MSG_VERIFY:
             return self._handle_verify(body)
-        return super().dispatch_role(session, kind, body)
+        return super().dispatch_role(member, kind, body)
 
     def _handle_verify(self, body: bytes) -> bytes:
         if len(body) < 52 + 8:

@@ -70,6 +70,12 @@ def test_decode_rejects_trailing_bytes():
         decode_doc_bytes(canonical_doc_bytes(DOC) + b"\x00")
 
 
+def test_decode_rejects_expiry_past_date_max():
+    data = canonical_doc_bytes(DOC)[:-4] + struct.pack(">I", 0xFFFFFFFF)
+    with pytest.raises(EncodingError):
+        decode_doc_bytes(data)
+
+
 def test_signing_bytes_layout():
     commitment = b"\xaa" * 32
     expected = (

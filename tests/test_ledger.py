@@ -7,6 +7,7 @@ import pytest
 from dhp.core import EncodingError, Role, TestMethod, record_signing_bytes
 from dhp.crypto import Salt, sign
 from dhp.ledger import (
+    MAX_BLOCK_RECORDS,
     Block,
     BlockError,
     ChainState,
@@ -16,12 +17,11 @@ from dhp.ledger import (
     InvalidBlock,
     InvalidPendingRecord,
     LookupStatus,
-    NoValidCandidate,
     NotScheduled,
+    admit,
     append_block,
     block_bytes,
     chain_bytes,
-    fork_choice,
     header_bytes,
     header_hash,
     header_signing_bytes,
@@ -176,16 +176,19 @@ def test_propose_rejects_tampered_record(consortium):
     bad_sig = bytearray(good.issuer_signature)
     bad_sig[0] ^= 0x01
     bad = replace(good, issuer_signature=bytes(bad_sig))
-    with pytest.raises(InvalidPendingRecord) as err:
-        propose_block(consortium.state, [good, bad], consortium.hsa_keys[1], T0 + 120)
-    assert err.value.index == 1
+    assert admit(consortium.state, good, T0 + 120) is None
+    assert admit(consortium.state, bad, T0 + 120) is BlockError.BAD_RECORD_SIG
+    # a record that was not admitted still cannot be proposed onto the chain
+    block = propose_block(consortium.state, [bad], consortium.hsa_keys[1], T0 + 120)
+    with pytest.raises(InvalidBlock) as err:
+        append_block(consortium.state, block, T0 + 120)
+    assert err.value.error is BlockError.BAD_RECORD_SIG
 
 
 def test_propose_rejects_unknown_issuer(consortium):
     stranger = seeded_key(Role.THF, "not-registered")
     pending = thf_issue(stranger, make_doc(0), True, consortium.method, T0, now=T0, rng=Random(0))
-    with pytest.raises(InvalidPendingRecord):
-        propose_block(consortium.state, [pending.record], consortium.hsa_keys[1], T0 + 120)
+    assert admit(consortium.state, pending.record, T0 + 120) is BlockError.UNKNOWN_ISSUER
 
 
 def test_propose_dedupes_identical_and_rejects_on_chain_duplicates(consortium):
@@ -208,9 +211,9 @@ def test_propose_sorts_records_canonically(consortium):
 def test_propose_rejects_oversized_batch(consortium):
     from dhp.ledger import OversizedBatch
 
-    records = [issue(consortium, i).record for i in range(4)]
+    records = [issue(consortium, i).record for i in range(MAX_BLOCK_RECORDS + 1)]
     with pytest.raises(OversizedBatch):
-        propose_block(consortium.state, records, consortium.hsa_keys[1], T0 + 120, max_records=3)
+        propose_block(consortium.state, records, consortium.hsa_keys[1], T0 + 120)
 
 
 # --- validate ----------------------------------------------------------------
@@ -283,7 +286,7 @@ def test_validate_errors_in_precedence_order(consortium):
     assert validate_block(state, too_early, T0 + 200) is BlockError.BAD_TIMESTAMP
 
     too_late = resign(Block(replace(block.header, block_time=T0 + 10_000), block.records), hsa)
-    assert validate_block(state, too_late, T0 + 200, clock_skew=300) is BlockError.BAD_TIMESTAMP
+    assert validate_block(state, too_late, T0 + 200) is BlockError.BAD_TIMESTAMP
 
     # record tested after its block was sealed (plus skew)
     backdated = thf_issue(
@@ -302,8 +305,8 @@ def test_propose_rejects_future_tested_at(consortium):
         consortium.thf_keys[0], make_doc(56), True, consortium.method,
         tested_at=T0 + 9_000, now=T0 + 9_000, rng=Random(56),
     ).record
-    with pytest.raises(InvalidPendingRecord):
-        propose_block(consortium.state, [record], consortium.hsa_keys[1], T0 + 120)
+    assert admit(consortium.state, record, T0 + 120) is BlockError.BAD_TIMESTAMP
+    assert admit(consortium.state, record, T0 + 9_000 - 300) is None  # within the skew
 
 
 def test_validate_reports_first_failure_only(consortium):
@@ -320,7 +323,7 @@ def test_validate_reports_first_failure_only(consortium):
 
 def test_block_time_exactly_at_skew_passes(consortium):
     block, _ = build_block(consortium, consortium.state, count=1, now=T0 + 500)
-    assert validate_block(consortium.state, block, now=T0 + 200, clock_skew=300) is None
+    assert validate_block(consortium.state, block, now=T0 + 200) is None
 
 
 # --- append / chain invariants -------------------------------------------------
@@ -460,45 +463,6 @@ def test_lookup_unknown_header_and_bad_index(consortium):
     assert lookup_by_token(state, ghost, make_doc(0)).status is LookupStatus.NOT_FOUND
     oob = DhpToken(header_hash(block.header), 5, pendings[0].salt)
     assert lookup_by_token(state, oob, make_doc(0)).status is LookupStatus.NOT_FOUND
-
-
-# --- fork choice ---------------------------------------------------------------
-
-
-def test_fork_choice_prefers_longer(consortium):
-    short = grow_chain(consortium, 3)
-    long = grow_chain(consortium, 5)
-    assert fork_choice([short, long]) is long
-    assert fork_choice([long, short]) is long
-
-
-def test_fork_choice_single_candidate(consortium):
-    assert fork_choice([consortium.state]) is consortium.state
-
-
-def test_fork_choice_empty():
-    with pytest.raises(NoValidCandidate):
-        fork_choice([])
-
-
-def test_fork_choice_tie_break_and_permutation_invariance():
-    # same length, different tips: two consortia diverge after genesis
-    rng = Random(3)
-    chains = []
-    for tag in ("one", "two", "three"):
-        c = Consortium()
-        state = c.state
-        pending = thf_issue(
-            c.thf_keys[0], make_doc(hash(tag) % 1000), True, c.method,
-            T0 + 30, now=T0 + 30, rng=Random(len(tag)),
-        )
-        block = propose_block(state, [pending.record], c.hsa_keys[1], T0 + 60)
-        chains.append(append_block(state, block, T0 + 60))
-    expected = min(chains, key=lambda s: header_hash(s.tip.header))
-    for _ in range(10):
-        shuffled = chains[:]
-        rng.shuffle(shuffled)
-        assert fork_choice(shuffled) is expected
 
 
 # --- serialization -------------------------------------------------------------

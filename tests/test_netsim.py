@@ -313,6 +313,7 @@ def test_parse_sim_config():
         "rng_seed = 1\ndelay_model = partition:hsa-0:1\n",
         "rng_seed = 1\nmystery = 3\n",
         "rng_seed = 1\nbroken line\n",
+        "rng_seed = 1\nrng_seed = 2\n",      # a repeated key
     ],
 )
 def test_parse_sim_config_errors(text):

@@ -90,7 +90,7 @@ def test_thf_issue_round_trip(consortium):
         consortium.thf_keys[0].public, record_signing_bytes(record), record.issuer_signature
     )
     assert commit(doc, pending.salt) == record.commitment
-    assert pending.thf_id == consortium.thf_keys[0].owner
+    assert pending.record.issuer_id == consortium.thf_keys[0].owner
 
 
 def test_thf_issue_refuses_risky_result(consortium):

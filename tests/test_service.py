@@ -1,24 +1,38 @@
+import struct
 import time
 from dataclasses import replace
 from random import Random
 
 import pytest
 
-from dhp.core import EncodingError, Role
-from dhp.ledger import MAX_BLOCK_RECORDS, Block, append_block, header_hash, propose_block
+from dhp.core import EncodingError, Role, canonical_doc_bytes
+from dhp.ledger import (
+    MAX_BLOCK_RECORDS,
+    Block,
+    DhpToken,
+    append_block,
+    block_bytes,
+    header_hash,
+    propose_block,
+    token_bytes,
+)
 from dhp.protocol import OutcomeStatus, ViolationReason, format_policy, thf_issue
 from dhp.service import (
+    ERR_MALFORMED,
     ERR_NOT_FOUND,
     ERR_REJECTED,
     ERR_WRONG_ROLE,
     BmNode,
     HsaNode,
+    MSG_ANNOUNCE,
+    MSG_ERROR,
+    MSG_VERIFY,
     NodeClient,
     NodeConfig,
     ServiceError,
     parse_node_config,
 )
-from dhp.storage import ReceiptLog, save_keypair, save_registry
+from dhp.storage import ReceiptLog, replay_block_log, save_keypair, save_registry
 
 from conftest import Consortium, make_doc, seeded_key
 from test_protocol import POLICY
@@ -366,6 +380,51 @@ def test_submit_refuses_a_credential_tested_in_the_future(solo):
         assert client.get_token(ack) is not None
 
 
+def test_propose_once_logs_before_it_publishes(solo, monkeypatch):
+    """A block the log refuses is neither published nor credited: the record
+    stays pending and goes into the next block."""
+    c, hsa = solo
+    with connect(hsa, c.thf_keys[0], c.registry) as client:
+        ack, _ = client.submit_dhp(issue(c, 72))
+
+    def disk_full(block):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(hsa._log, "append", disk_full)
+    with pytest.raises(OSError):
+        hsa.propose_once()
+    assert hsa.state.height == 0
+    assert ack in hsa._mempool and ack not in hsa._tokens
+    monkeypatch.undo()
+    block = hsa.propose_once()
+    assert block.header.height == 1
+    assert [r.commitment for r in block.records] == [ack]
+    assert ack in hsa._tokens and not hsa._mempool
+    replayed, _ = replay_block_log(hsa._log.path, c.registry, int(time.time()), strict=True)
+    assert replayed.tip == block
+
+
+def _error_code(reply):
+    assert reply[0] == MSG_ERROR, reply
+    return struct.unpack_from(">H", reply, 1)[0]
+
+
+def test_dispatch_answers_unparseable_bodies_as_malformed(net):
+    c, _, bm = net
+    now = int(time.time())
+    # a block whose method code is not UTF-8: the high bit of the R of RT-qPCR
+    frame = bytearray(block_bytes(propose_block(c.state, [issue(c, 91).record], c.hsa_keys[0], now)))
+    frame[frame.index(b"RT-qPCR")] ^= 0x80
+    reply = bm.dispatch(c.hsa_keys[0].owner, bytes((MSG_ANNOUNCE,)) + bytes(frame))
+    assert _error_code(reply) == ERR_MALFORMED
+    # a document whose expiry day count lies past date.max
+    doc = canonical_doc_bytes(make_doc(92))[:-4] + struct.pack(">I", 0xFFFFFFFF)
+    token = DhpToken(b"\x00" * 32, 0, issue(c, 92).salt)
+    body = token_bytes(token) + struct.pack(">Q", now) + doc
+    assert _error_code(bm.dispatch(c.bm_keys[0].owner, bytes((MSG_VERIFY,)) + body)) == ERR_MALFORMED
+    assert bm.state.height == 0
+
+
 def test_orphan_that_fails_keeps_disk_and_memory_in_step(tmp_path):
     """Block 2 with a zeroed authority signature waits as an orphan; block 1
     is then accepted, the orphan is dropped, and the log replays to block 1."""
@@ -443,6 +502,7 @@ def test_parse_node_config_env_override(tmp_path, monkeypatch):
         "role = thf\nlisten = 1.2.3.4:1\ndata_dir = d\nregistry = r\nkey = k\n",
         "role = bm\nlisten = 1.2.3.4:1\ndata_dir = d\nregistry = r\nkey = k\n",  # bm w/o policy
         "role = hsa\nlisten = nope\ndata_dir = d\nregistry = r\nkey = k\n",
+        "role = hsa\nlisten = 1.2.3.4:1\ndata_dir = d\nregistry = r\nkey = k\nkey = k2\n",  # repeated key
     ],
 )
 def test_parse_node_config_errors(text, tmp_path):

@@ -101,13 +101,18 @@ def test_block_log_single_byte_corruption_is_frame_accurate(tmp_path):
     c, _, log = write_chain(tmp_path, blocks=5, per_block=2)
     pristine = log.path.read_bytes()
     offsets = frame_offsets(pristine)
-    target = 2  # corrupt a byte in the middle of the third frame's payload
-    mutated = bytearray(pristine)
-    mutated[offsets[target] + 40] ^= 0x01
-    log.path.write_bytes(bytes(mutated))
-    with pytest.raises(CorruptLog) as err:
-        replay_block_log(log.path, c.registry, NOW, strict=True, genesis_time=c.genesis_time)
-    assert err.value.offset == offsets[target]
+    target = 2  # corrupt a byte of the third frame's payload
+    flips = [
+        (offsets[target] + 40, 0x01),                            # in the middle
+        (pristine.index(b"RT-qPCR", offsets[target]), 0x80),     # a method code, no longer UTF-8
+    ]
+    for pos, mask in flips:
+        mutated = bytearray(pristine)
+        mutated[pos] ^= mask
+        log.path.write_bytes(bytes(mutated))
+        with pytest.raises(CorruptLog) as err:
+            replay_block_log(log.path, c.registry, NOW, strict=True, genesis_time=c.genesis_time)
+        assert err.value.offset == offsets[target]
 
 
 def test_block_log_corrupt_length_prefix_detected(tmp_path):
