@@ -4,7 +4,8 @@ Everything that ends up under a signature or a commitment is encoded here,
 once, with big-endian length-prefixed layouts and a version tag. The encodings
 are normative: the crypto, ledger, and service layers all hash and sign these
 exact bytes, so two independent deployments interoperate as long as they agree
-on this module.
+on this module. Every frame a peer supplies is decoded through :class:`Reader`,
+so a malformed byte ends in EncodingError and nothing else.
 
 Holder names never appear in any of these structures; the only personal datum
 is the machine-readable travel-document subset (number, country, expiry), and
@@ -44,6 +45,63 @@ class InvalidDocument(DhpError):
 
 class EncodingError(DhpError):
     """A value cannot be represented in the canonical byte layout."""
+
+
+class Reader:
+    """The one decoder of canonical frames: reads fields in order from the
+    front of a frame. Every short read raises EncodingError, and so do
+    trailing bytes once the frame is done."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self.data):
+            raise EncodingError("frame truncated")
+        out = self.data[self.pos:self.pos + n]
+        self.pos += n
+        return out
+
+    def u8(self) -> int:
+        return self.take(1)[0]
+
+    def u16(self) -> int:
+        return struct.unpack(">H", self.take(2))[0]
+
+    def u32(self) -> int:
+        return struct.unpack(">I", self.take(4))[0]
+
+    def u64(self) -> int:
+        return struct.unpack(">Q", self.take(8))[0]
+
+    def done(self) -> None:
+        if self.pos != len(self.data):
+            raise EncodingError("trailing bytes after frame")
+
+    def flag(self) -> bool:
+        """A boolean byte, 0 or 1."""
+        byte = self.u8()
+        if byte > 1:
+            raise EncodingError(f"non-canonical flag byte {byte:#04x}")
+        return byte == 1
+
+    def rest(self) -> bytes:
+        return self.take(len(self.data) - self.pos)
+
+    def finish(self, read, *args):
+        """read(self, *args), which must consume the rest of the frame."""
+        value = read(self, *args)
+        self.done()
+        return value
+
+
+def as_enum(kind: type[Enum], value: int) -> Enum:
+    """The member of an enum with this wire value."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise EncodingError(f"unknown {kind.__name__} value {value}") from None
 
 
 class Role(Enum):
@@ -195,22 +253,21 @@ def canonical_doc_bytes(doc: TravelDocument) -> bytes:
     return struct.pack(">H", len(number)) + number + doc.issuing_country.encode("ascii") + struct.pack(">I", days)
 
 
-def decode_doc_bytes(data: bytes) -> TravelDocument:
-    """Inverse of canonical_doc_bytes; strict (rejects trailing bytes)."""
-    if len(data) < 2:
-        raise EncodingError("document frame too short")
-    (n,) = struct.unpack_from(">H", data, 0)
-    if len(data) != 2 + n + 3 + 4:
-        raise EncodingError("document frame length mismatch")
-    number = data[2:2 + n].decode("ascii", errors="replace")
-    country = data[2 + n:2 + n + 3].decode("ascii", errors="replace")
-    (days,) = struct.unpack_from(">I", data, 2 + n + 3)
+def read_doc(r: Reader) -> TravelDocument:
+    """Inverse of canonical_doc_bytes; only valid documents decode."""
+    number = r.take(r.u16()).decode("ascii", errors="replace")
+    country = r.take(3).decode("ascii", errors="replace")
+    days = r.u32()
     try:
         doc = TravelDocument(number, country, DOC_EPOCH + timedelta(days=days))
     except OverflowError:
         raise EncodingError(f"expiry day count {days} is past {date.max}") from None
     canonical_doc_bytes(doc)  # re-validate so only valid documents round-trip
     return doc
+
+
+def decode_doc_bytes(data: bytes) -> TravelDocument:
+    return Reader(data).finish(read_doc)
 
 
 def parse_key_values(text: str, what: str) -> dict[str, str]:

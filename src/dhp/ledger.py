@@ -21,6 +21,7 @@ from .core import (
     DhpError,
     EncodingError,
     HealthPassport,
+    Reader,
     Registry,
     Role,
     TestMethod,
@@ -364,38 +365,10 @@ def lookup_by_token(state: ChainState, token: DhpToken, doc: TravelDocument) -> 
 # block frame  : header frame, count(4), record frames
 # token frame  : header_hash(32) index(4) salt(16)
 #
-# Parsing is strict: non-canonical result bytes, short reads, and trailing
-# bytes are all rejected, so any stored byte is covered by a signature, a
-# hash, or the parser.
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise EncodingError("frame truncated")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
-
-    def done(self) -> None:
-        if self.pos != len(self.data):
-            raise EncodingError("trailing bytes after frame")
+# Parsing goes through core.Reader and is strict: non-canonical result bytes,
+# short reads, and trailing bytes are all rejected, so any stored byte is
+# covered by a signature, a hash, or the parser. Each read_x(r, ...) decodes
+# one field sequence from a Reader; parse_x(data, ...) decodes a whole frame.
 
 
 def record_bytes(record: HealthPassport) -> bytes:
@@ -403,7 +376,7 @@ def record_bytes(record: HealthPassport) -> bytes:
     return body + struct.pack(">H", len(record.issuer_signature)) + record.issuer_signature
 
 
-def _parse_record(r: _Reader, issuers: dict[bytes, ActorId]) -> HealthPassport:
+def read_record(r: Reader, issuers: dict[bytes, ActorId]) -> HealthPassport:
     commitment = r.take(32)
     result_byte = r.u8()
     if result_byte not in (0, 1):
@@ -427,10 +400,7 @@ def _parse_record(r: _Reader, issuers: dict[bytes, ActorId]) -> HealthPassport:
 
 
 def parse_record(data: bytes, issuers: dict[bytes, ActorId]) -> HealthPassport:
-    r = _Reader(data)
-    record = _parse_record(r, issuers)
-    r.done()
-    return record
+    return Reader(data).finish(read_record, issuers)
 
 
 def header_bytes(header: BlockHeader) -> bytes:
@@ -441,7 +411,7 @@ def header_bytes(header: BlockHeader) -> bytes:
     )
 
 
-def _parse_header(r: _Reader, authorities: dict[bytes, ActorId]) -> BlockHeader:
+def read_header(r: Reader, authorities: dict[bytes, ActorId]) -> BlockHeader:
     height = r.u64()
     prev_hash = r.take(32)
     merkle = r.take(32)
@@ -460,10 +430,7 @@ def _parse_header(r: _Reader, authorities: dict[bytes, ActorId]) -> BlockHeader:
 
 
 def parse_header(data: bytes, authorities: dict[bytes, ActorId]) -> BlockHeader:
-    r = _Reader(data)
-    header = _parse_header(r, authorities)
-    r.done()
-    return header
+    return Reader(data).finish(read_header, authorities)
 
 
 def block_bytes(block: Block) -> bytes:
@@ -472,17 +439,18 @@ def block_bytes(block: Block) -> bytes:
     return b"".join(parts)
 
 
-def parse_block(data: bytes, registry: Registry) -> Block:
-    authorities = {a.id: a for a in registry.authorities()}
-    issuers = registry.issuers()
-    r = _Reader(data)
-    header = _parse_header(r, authorities)
+def read_block(r: Reader, registry: Registry) -> Block:
+    header = read_header(r, {a.id: a for a in registry.authorities()})
     count = r.u32()
     if count > MAX_BLOCK_RECORDS:
         raise EncodingError(f"record count {count} exceeds block limit")
-    records = tuple(_parse_record(r, issuers) for _ in range(count))
-    r.done()
+    issuers = registry.issuers()
+    records = tuple(read_record(r, issuers) for _ in range(count))
     return Block(header=header, records=records)
+
+
+def parse_block(data: bytes, registry: Registry) -> Block:
+    return Reader(data).finish(read_block, registry)
 
 
 def chain_bytes(state: ChainState) -> bytes:
@@ -494,10 +462,10 @@ def token_bytes(token: DhpToken) -> bytes:
     return token.header_hash + struct.pack(">I", token.record_index) + token.salt.value
 
 
-def parse_token(data: bytes) -> DhpToken:
-    r = _Reader(data)
-    header = r.take(32)
-    index = r.u32()
-    salt = Salt(r.take(16))
-    r.done()
+def read_token(r: Reader) -> DhpToken:
+    header, index, salt = r.take(32), r.u32(), Salt(r.take(16))
     return DhpToken(header_hash=header, record_index=index, salt=salt)
+
+
+def parse_token(data: bytes) -> DhpToken:
+    return Reader(data).finish(read_token)

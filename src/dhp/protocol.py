@@ -23,10 +23,12 @@ from .core import (
     EncodingError,
     HealthPassport,
     HygienePolicy,
+    Reader,
     Registry,
     Role,
     TestMethod,
     TravelDocument,
+    as_enum,
     canonical_doc_bytes,
     dhp_signing_bytes,
     parse_key_values,
@@ -42,8 +44,8 @@ from .ledger import (
     header_hash,
     lookup_by_token,
     propose_block,
+    read_record,
     record_bytes,
-    parse_record,
 )
 
 RECEIPT_TAG = b"DHPR1|"
@@ -299,22 +301,19 @@ def bm_verify(
 def audit_manifest(
     receipts: list[VerificationReceipt],
     manifest: list[tuple[bytes, int]],
-    registry: Registry | None = None,
+    registry: Registry,
 ) -> list[tuple[bytes, int]]:
     """Entries of the manifest not covered by any valid receipt (empty = ok).
 
-    Every receipt signature is checked first; with a registry the signer must
-    also be a registered read-only member, so a receipt re-signed under some
-    other key never counts as coverage.
+    Every receipt must carry a valid signature under the registered key of a
+    read-only member, so a receipt signed by any other key never counts as
+    coverage.
     """
     covered: set[tuple[bytes, int]] = set()
     for i, receipt in enumerate(receipts):
-        key = receipt.bm_id.public_key
-        if registry is not None:
-            member = registry.get(Role.BM, receipt.bm_id.id)
-            if member is None:
-                raise BadReceiptSignature(i)
-            key = member.public_key
+        member = registry.get(Role.BM, receipt.bm_id.id)
+        if member is None:
+            raise BadReceiptSignature(i)
         preimage = receipt_signing_bytes(
             receipt.bm_id,
             receipt.token_header_hash,
@@ -322,7 +321,7 @@ def audit_manifest(
             receipt.outcome_status,
             receipt.checked_at,
         )
-        if not verify_sig(key, preimage, receipt.bm_signature):
+        if not verify_sig(member.public_key, preimage, receipt.bm_signature):
             raise BadReceiptSignature(i)
         covered.add((receipt.token_header_hash, receipt.record_index))
     return [entry for entry in manifest if entry not in covered]
@@ -336,11 +335,13 @@ def pending_bytes(pending: PendingDhp) -> bytes:
     return record_bytes(pending.record) + pending.salt.value
 
 
+def read_pending(r: Reader, issuers: dict[bytes, ActorId]) -> PendingDhp:
+    record = read_record(r, issuers)
+    return PendingDhp(record=record, salt=Salt(r.take(16)))
+
+
 def parse_pending(data: bytes, issuers: dict[bytes, ActorId]) -> PendingDhp:
-    if len(data) < 16:
-        raise EncodingError("pending frame too short")
-    record = parse_record(data[:-16], issuers)
-    return PendingDhp(record=record, salt=Salt(data[-16:]))
+    return Reader(data).finish(read_pending, issuers)
 
 
 def receipt_frame_bytes(receipt: VerificationReceipt) -> bytes:
@@ -354,31 +355,21 @@ def receipt_frame_bytes(receipt: VerificationReceipt) -> bytes:
     return preimage[len(RECEIPT_TAG):] + struct.pack(">H", len(receipt.bm_signature)) + receipt.bm_signature
 
 
-def parse_receipt_frame(data: bytes, registry: Registry | None = None) -> VerificationReceipt:
-    if len(data) < 16 + 32 + 4 + 1 + 8 + 2:
-        raise EncodingError("receipt frame too short")
-    bm_raw = data[:16]
-    header = data[16:48]
-    (index,) = struct.unpack_from(">I", data, 48)
-    try:
-        status = OutcomeStatus(data[52])
-    except ValueError:
-        raise EncodingError(f"unknown outcome status byte {data[52]:#04x}") from None
-    (checked_at,) = struct.unpack_from(">Q", data, 53)
-    (siglen,) = struct.unpack_from(">H", data, 61)
-    signature = data[63:63 + siglen]
-    if len(data) != 63 + siglen:
-        raise EncodingError("trailing bytes after receipt frame")
-    bm = None if registry is None else registry.get(Role.BM, bm_raw)
-    bm_id = bm if bm is not None else ActorId(role=Role.BM, id=bm_raw, public_key=b"")
+def read_receipt(r: Reader, registry: Registry) -> VerificationReceipt:
+    bm_id, header, index = r.take(16), r.take(32), r.u32()
+    status, checked_at, signature = as_enum(OutcomeStatus, r.u8()), r.u64(), r.take(r.u16())
     return VerificationReceipt(
-        bm_id=bm_id,
+        bm_id=registry.get(Role.BM, bm_id) or ActorId(role=Role.BM, id=bm_id, public_key=b""),
         token_header_hash=header,
         record_index=index,
         outcome_status=status,
         checked_at=checked_at,
         bm_signature=signature,
     )
+
+
+def parse_receipt_frame(data: bytes, registry: Registry) -> VerificationReceipt:
+    return Reader(data).finish(read_receipt, registry)
 
 
 def parse_policy(text: str) -> HygienePolicy:

@@ -9,13 +9,20 @@ hierarchy, the registry is the trust root.
     0x01 CHALLENGE   server -> client   32-byte nonce
     0x02 AUTH        client -> server   role(1) id(16) siglen(2) sig
     0x03 AUTH_OK
-    0x10 SUBMIT_DHP  pending frame      -> 0x11 ack: commitment(32) dup(1)
-    0x12 GET_TOKEN   commitment(32)     -> 0x13 status(1) [token frame]
+    0x10 SUBMIT_DHP  pending frame      -> 0x11 commitment(32) duplicate(1)
+    0x12 GET_TOKEN   commitment(32)     -> 0x13 included(1) [token frame]
     0x20 GET_BLOCK   header_hash(32)    -> 0x21 block frame
     0x22 GET_HEAD                       -> 0x23 header frame
-    0x30 VERIFY      token at doc       -> 0x31 outcome + receipt
+    0x30 VERIFY      token frame, at(8), document
+                                        -> 0x31 status(1) violation(1)
+                                           located(1) [height(8) index(4)]
+                                           checked_at(8) rlen(2) receipt frame
     0x40 ANNOUNCE    block frame        -> 0x41 accepted(1)
     0x7f ERROR       code(2) len(2) utf-8 message
+
+Flags (duplicate, included, located, accepted) are 0 or 1; violation 0 is
+none. Both ends decode every body through core.Reader, so any malformed body
+is an EncodingError or ServiceError, never a crash of the reading thread.
 
 Each node owns its chain through a single writer lock; request handlers read
 immutable snapshots. Appended blocks are persisted to the node's block log
@@ -40,12 +47,14 @@ from .core import (
     DhpError,
     EncodingError,
     HygienePolicy,
+    Reader,
     Registry,
     Role,
     TravelDocument,
+    as_enum,
     canonical_doc_bytes,
-    decode_doc_bytes,
     parse_key_values,
+    read_doc,
 )
 from .crypto import KeyPair, sign, verify_sig
 from .ledger import (
@@ -62,8 +71,9 @@ from .ledger import (
     header_bytes,
     header_hash,
     parse_block,
-    parse_header,
-    parse_token,
+    read_block,
+    read_header,
+    read_token,
     scheduled_authority,
     token_bytes,
 )
@@ -75,10 +85,10 @@ from .protocol import (
     ViolationReason,
     bm_verify,
     hsa_register,
-    parse_pending,
     parse_policy,
     parse_receipt_frame,
     pending_bytes,
+    read_pending,
     receipt_frame_bytes,
 )
 from .storage import BlockLog, ReceiptLog, load_keypair, load_registry, save_registry, write_genesis_time
@@ -215,26 +225,19 @@ class _Handler(socketserver.BaseRequestHandler):
             while True:
                 frame = recv_frame(sock)
                 send_frame(sock, node.dispatch(member, frame))
-        except (ConnectionError, OSError, EncodingError):
+        except (OSError, EncodingError):
             return
 
     @staticmethod
     def _authenticate(node: "Node", frame: bytes, nonce: bytes) -> ActorId | None:
-        if len(frame) < 1 + 1 + 16 + 2 or frame[0] != MSG_AUTH:
-            return None
         try:
-            role = Role(frame[1])
-        except ValueError:
-            return None
-        actor_id = frame[2:18]
-        (siglen,) = struct.unpack_from(">H", frame, 18)
-        signature = frame[20:20 + siglen]
-        if len(frame) != 20 + siglen:
+            r = _body(frame, MSG_AUTH)
+            role, actor_id, signature = as_enum(Role, r.u8()), r.take(16), r.take(r.u16())
+            r.done()
+        except DhpError:
             return None
         member = node.registry.get(role, actor_id)
-        if member is None:
-            return None
-        if not verify_sig(member.public_key, AUTH_TAG + nonce, signature):
+        if member is None or not verify_sig(member.public_key, AUTH_TAG + nonce, signature):
             return None
         return member
 
@@ -247,6 +250,15 @@ class _Server(socketserver.ThreadingTCPServer):
 def _error(code: int, message: str) -> bytes:
     body = message.encode("utf-8")
     return bytes((MSG_ERROR,)) + struct.pack(">HH", code, len(body)) + body
+
+
+def _body(frame: bytes, kind: int) -> Reader:
+    """A Reader over the body of a message that must be of the given type;
+    the caller decodes the whole body from it."""
+    r = Reader(frame)
+    if r.u8() != kind:
+        raise ServiceError(ERR_MALFORMED, f"expected a message of type {kind:#04x}")
+    return r
 
 
 class Node:
@@ -339,44 +351,43 @@ class Node:
                         cursor = blk.header.prev_hash
                     for blk in reversed(missing):
                         self._apply_block(blk)
-            except (OSError, DhpError, ConnectionError):
+            except (OSError, DhpError):
                 continue
 
-    # -- request dispatch
+    # -- request dispatch: each handler decodes the whole body from a Reader
 
     def dispatch(self, member: ActorId, frame: bytes) -> bytes:
-        if not frame:
-            return _error(ERR_MALFORMED, "empty frame")
-        kind, body = frame[0], frame[1:]
+        r = Reader(frame)
         try:
+            kind = r.u8()
             if kind == MSG_GET_BLOCK:
-                return self._handle_get_block(body)
+                return self._handle_get_block(r)
             if kind == MSG_GET_HEAD:
+                r.done()
                 return bytes((MSG_HEAD,)) + header_bytes(self._state.tip.header)
             if kind == MSG_ANNOUNCE:
-                return self._handle_announce(member, body)
-            return self.dispatch_role(member, kind, body)
+                return self._handle_announce(member, r)
+            return self.dispatch_role(member, kind, r)
         except EncodingError as exc:
             return _error(ERR_MALFORMED, str(exc))
         except DhpError as exc:
             return _error(ERR_REJECTED, str(exc))
 
-    def dispatch_role(self, member: ActorId, kind: int, body: bytes) -> bytes:
+    def dispatch_role(self, member: ActorId, kind: int, r: Reader) -> bytes:
         return _error(ERR_MALFORMED, f"unsupported message {kind:#04x}")
 
-    def _handle_get_block(self, body: bytes) -> bytes:
-        if len(body) != 32:
-            return _error(ERR_MALFORMED, "expected a 32-byte header hash")
+    def _handle_get_block(self, r: Reader) -> bytes:
+        block_hash = r.finish(Reader.take, 32)
         state = self._state
-        height = state.header_index.get(body)
+        height = state.header_index.get(block_hash)
         if height is None:
             return _error(ERR_NOT_FOUND, "unknown block")
         return bytes((MSG_BLOCK,)) + block_bytes(state.blocks[height])
 
-    def _handle_announce(self, member: ActorId, body: bytes) -> bytes:
+    def _handle_announce(self, member: ActorId, r: Reader) -> bytes:
         if member.role is not Role.HSA:
             return _error(ERR_WRONG_ROLE, "only authorities announce blocks")
-        block = parse_block(body, self.registry)
+        block = parse_block(r.rest(), self.registry)
         accepted = self._apply_block(block)
         return bytes((MSG_ANNOUNCE_ACK, 1 if accepted else 0))
 
@@ -395,17 +406,17 @@ class HsaNode(Node):
         super().start()
         threading.Thread(target=self._propose_loop, daemon=True).start()
 
-    def dispatch_role(self, member: ActorId, kind: int, body: bytes) -> bytes:
+    def dispatch_role(self, member: ActorId, kind: int, r: Reader) -> bytes:
         if kind == MSG_SUBMIT:
-            return self._handle_submit(member, body)
+            return self._handle_submit(member, r)
         if kind == MSG_GET_TOKEN:
-            return self._handle_get_token(body)
-        return super().dispatch_role(member, kind, body)
+            return self._handle_get_token(r)
+        return super().dispatch_role(member, kind, r)
 
-    def _handle_submit(self, member: ActorId, body: bytes) -> bytes:
+    def _handle_submit(self, member: ActorId, r: Reader) -> bytes:
         if member.role is not Role.THF:
             return _error(ERR_WRONG_ROLE, "only testing facilities submit credentials")
-        pending = parse_pending(body, self.registry.issuers())
+        pending = r.finish(read_pending, self.registry.issuers())
         error = admit(self._state, pending.record, int(time.time()))
         if error is not None:
             code = ERR_UNKNOWN_ISSUER if error is BlockError.UNKNOWN_ISSUER else ERR_REJECTED
@@ -417,12 +428,11 @@ class HsaNode(Node):
                 self._mempool[commitment] = pending
         return bytes((MSG_SUBMIT_ACK,)) + commitment + bytes((1 if duplicate else 0,))
 
-    def _handle_get_token(self, body: bytes) -> bytes:
-        if len(body) != 32:
-            return _error(ERR_MALFORMED, "expected a 32-byte commitment")
+    def _handle_get_token(self, r: Reader) -> bytes:
+        commitment = r.finish(Reader.take, 32)
         with self._lock:
-            token = self._tokens.get(body)
-            pending = body in self._mempool
+            token = self._tokens.get(commitment)
+            pending = commitment in self._mempool
         if token is not None:
             return bytes((MSG_TOKEN, 1)) + token_bytes(token)
         if pending:
@@ -469,12 +479,11 @@ class HsaNode(Node):
             )
 
     def _announce(self, block: Block) -> None:
-        payload = bytes((MSG_ANNOUNCE,)) + block_bytes(block)
         for peer in self.config.peers:
             try:
                 with NodeClient.connect(*peer, key=self.key, registry=self.registry) as client:
-                    client.request(payload)
-            except (OSError, DhpError, ConnectionError):
+                    client.announce_block(block)
+            except (OSError, DhpError):
                 continue
 
 
@@ -488,17 +497,14 @@ class BmNode(Node):
         self.policy: HygienePolicy = parse_policy(config.policy_file.read_text())
         self._receipts = ReceiptLog(config.data_dir / "receipts.log")
 
-    def dispatch_role(self, member: ActorId, kind: int, body: bytes) -> bytes:
+    def dispatch_role(self, member: ActorId, kind: int, r: Reader) -> bytes:
         if kind == MSG_VERIFY:
-            return self._handle_verify(body)
-        return super().dispatch_role(member, kind, body)
+            return self._handle_verify(r)
+        return super().dispatch_role(member, kind, r)
 
-    def _handle_verify(self, body: bytes) -> bytes:
-        if len(body) < 52 + 8:
-            return _error(ERR_MALFORMED, "verify request too short")
-        token = parse_token(body[:52])
-        (at,) = struct.unpack_from(">Q", body, 52)
-        doc = decode_doc_bytes(body[60:])
+    def _handle_verify(self, r: Reader) -> bytes:
+        token, at, doc = read_token(r), r.u64(), read_doc(r)
+        r.done()
         outcome, receipt = bm_verify(self.key, self._state, token, doc, self.policy, at)
         self._receipts.append(receipt)
         return _encode_outcome(outcome, receipt)
@@ -519,59 +525,37 @@ def _encode_outcome(outcome: VerificationOutcome, receipt: VerificationReceipt) 
     return b"".join(parts)
 
 
-def _decode_outcome(body: bytes, registry: Registry | None) -> tuple[VerificationOutcome, VerificationReceipt]:
-    status = OutcomeStatus(body[0])
-    violation = ViolationReason(body[1]) if body[1] else None
-    located = body[2] == 1
-    pos = 3
-    location = None
-    if located:
-        height, idx = struct.unpack_from(">QI", body, pos)
-        location = (height, idx)
-        pos += 12
-    (checked_at,) = struct.unpack_from(">Q", body, pos)
-    pos += 8
-    (rlen,) = struct.unpack_from(">H", body, pos)
-    receipt = parse_receipt_frame(body[pos + 2:pos + 2 + rlen], registry)
+def _read_outcome(r: Reader, registry: Registry) -> tuple[VerificationOutcome, VerificationReceipt]:
+    status, reason, located = as_enum(OutcomeStatus, r.u8()), r.u8(), r.flag()
     outcome = VerificationOutcome(
-        status=status, violation_reason=violation, dhp_location=location, checked_at=checked_at
+        status=status,
+        violation_reason=as_enum(ViolationReason, reason) if reason else None,
+        dhp_location=(r.u64(), r.u32()) if located else None,
+        checked_at=r.u64(),
     )
-    return outcome, receipt
+    return outcome, parse_receipt_frame(r.take(r.u16()), registry)
 
 
 class NodeClient:
     """Authenticated client for any consortium member."""
 
-    def __init__(self, sock: socket.socket, registry: Registry | None = None):
+    def __init__(self, sock: socket.socket, registry: Registry):
         self._sock = sock
         self._registry = registry
 
     @classmethod
-    def connect(
-        cls,
-        host: str,
-        port: int,
-        key: KeyPair,
-        registry: Registry | None = None,
-        timeout: float = 5.0,
-    ) -> "NodeClient":
+    def connect(cls, host: str, port: int, key: KeyPair, registry: Registry, timeout: float = 5.0) -> "NodeClient":
         sock = socket.create_connection((host, port), timeout=timeout)
-        frame = recv_frame(sock)
-        if not frame or frame[0] != MSG_CHALLENGE or len(frame) != 33:
+        try:
+            nonce = _body(recv_frame(sock), MSG_CHALLENGE).finish(Reader.take, 32)
+            signature = sign(key, AUTH_TAG + nonce)
+            auth = bytes((MSG_AUTH, key.owner.role.value)) + key.owner.id + struct.pack(">H", len(signature))
+            send_frame(sock, auth + signature)
+            if recv_frame(sock) != bytes((MSG_AUTH_OK,)):
+                raise ServiceError(ERR_UNAUTHORIZED, "authentication rejected")
+        except (DhpError, OSError):
             sock.close()
-            raise ServiceError(ERR_MALFORMED, "bad challenge from server")
-        signature = sign(key, AUTH_TAG + frame[1:])
-        send_frame(
-            sock,
-            bytes((MSG_AUTH, key.owner.role.value))
-            + key.owner.id
-            + struct.pack(">H", len(signature))
-            + signature,
-        )
-        reply = recv_frame(sock)
-        if not reply or reply[0] != MSG_AUTH_OK:
-            sock.close()
-            raise ServiceError(ERR_UNAUTHORIZED, "authentication rejected")
+            raise
         return cls(sock, registry)
 
     def __enter__(self) -> "NodeClient":
@@ -584,26 +568,23 @@ class NodeClient:
         self._sock.close()
 
     def request(self, payload: bytes) -> bytes:
+        """Send one message and return the reply; an ERROR reply raises."""
         send_frame(self._sock, payload)
         reply = recv_frame(self._sock)
-        if reply and reply[0] == MSG_ERROR:
-            (code, mlen) = struct.unpack_from(">HH", reply, 1)
-            raise ServiceError(code, reply[5:5 + mlen].decode("utf-8", errors="replace"))
+        r = Reader(reply)
+        if reply and r.u8() == MSG_ERROR:
+            code, message = r.u16(), r.take(r.u16())
+            r.done()
+            raise ServiceError(code, message.decode("utf-8", errors="replace"))
         return reply
 
     def submit_dhp(self, pending: PendingDhp) -> tuple[bytes, bool]:
-        reply = self.request(bytes((MSG_SUBMIT,)) + pending_bytes(pending))
-        if reply[0] != MSG_SUBMIT_ACK or len(reply) != 34:
-            raise ServiceError(ERR_MALFORMED, "bad submit ack")
-        return reply[1:33], reply[33] == 1
+        reply = _body(self.request(bytes((MSG_SUBMIT,)) + pending_bytes(pending)), MSG_SUBMIT_ACK)
+        return reply.finish(lambda r: (r.take(32), r.flag()))
 
     def get_token(self, commitment: bytes) -> DhpToken | None:
-        reply = self.request(bytes((MSG_GET_TOKEN,)) + commitment)
-        if reply[0] != MSG_TOKEN:
-            raise ServiceError(ERR_MALFORMED, "bad token reply")
-        if reply[1] == 0:
-            return None
-        return parse_token(reply[2:])
+        reply = _body(self.request(bytes((MSG_GET_TOKEN,)) + commitment), MSG_TOKEN)
+        return reply.finish(lambda r: read_token(r) if r.flag() else None)
 
     def wait_for_token(self, commitment: bytes, timeout: float = 5.0) -> DhpToken:
         deadline = time.monotonic() + timeout
@@ -616,32 +597,26 @@ class NodeClient:
 
     def get_block(self, block_hash: bytes) -> Block | None:
         try:
-            reply = self.request(bytes((MSG_GET_BLOCK,)) + block_hash)
+            reply = _body(self.request(bytes((MSG_GET_BLOCK,)) + block_hash), MSG_BLOCK)
         except ServiceError as exc:
             if exc.code == ERR_NOT_FOUND:
                 return None
             raise
-        if self._registry is None:
-            raise ServiceError(ERR_MALFORMED, "client needs a registry to parse blocks")
-        return parse_block(reply[1:], self._registry)
+        return reply.finish(read_block, self._registry)
 
     def get_head(self) -> BlockHeader:
-        reply = self.request(bytes((MSG_GET_HEAD,)))
-        authorities = {} if self._registry is None else {a.id: a for a in self._registry.authorities()}
-        return parse_header(reply[1:], authorities)
+        reply = _body(self.request(bytes((MSG_GET_HEAD,))), MSG_HEAD)
+        return reply.finish(read_header, {a.id: a for a in self._registry.authorities()})
 
     def verify(
         self, token: DhpToken, doc: TravelDocument, at: int
     ) -> tuple[VerificationOutcome, VerificationReceipt]:
         payload = bytes((MSG_VERIFY,)) + token_bytes(token) + struct.pack(">Q", at) + canonical_doc_bytes(doc)
-        reply = self.request(payload)
-        if reply[0] != MSG_OUTCOME:
-            raise ServiceError(ERR_MALFORMED, "bad verify reply")
-        return _decode_outcome(reply[1:], self._registry)
+        return _body(self.request(payload), MSG_OUTCOME).finish(_read_outcome, self._registry)
 
     def announce_block(self, block: Block) -> bool:
-        reply = self.request(bytes((MSG_ANNOUNCE,)) + block_bytes(block))
-        return reply[0] == MSG_ANNOUNCE_ACK and reply[1] == 1
+        reply = _body(self.request(bytes((MSG_ANNOUNCE,)) + block_bytes(block)), MSG_ANNOUNCE_ACK)
+        return reply.finish(Reader.flag)
 
 
 def build_node(config: NodeConfig) -> Node:

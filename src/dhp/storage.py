@@ -139,7 +139,7 @@ class ReceiptLog:
             fh.flush()
             os.fsync(fh.fileno())
 
-    def read_all(self, registry: Registry | None = None) -> list[VerificationReceipt]:
+    def read_all(self, registry: Registry) -> list[VerificationReceipt]:
         data = self.path.read_bytes()
         frames, torn = read_frames(data, RECEIPT_LOG_MAGIC, strict=False)
         if torn is not None:

@@ -1,0 +1,165 @@
+"""Golden bytes of the frames a peer decodes.
+
+Every frame is built from the seeded test consortium by the program's own
+encoders and node handlers, so the pinned hex is the wire format itself: a
+change to any of these strings breaks interoperability with deployed nodes.
+Each pinned frame is also decoded back through the client, which checks the
+decoders against the same bytes.
+"""
+
+import socket
+import threading
+from random import Random
+from types import SimpleNamespace
+
+import pytest
+
+from dhp.core import Role
+from dhp.protocol import OutcomeStatus, format_policy, hsa_register, parse_receipt_frame, receipt_frame_bytes, thf_issue
+from dhp.service import (
+    ERR_NOT_FOUND,
+    BmNode,
+    HsaNode,
+    NodeClient,
+    NodeConfig,
+    ServiceError,
+    _Handler,
+    recv_frame,
+    send_frame,
+)
+from dhp.storage import save_keypair, save_registry
+
+from conftest import Consortium, make_doc
+from test_protocol import HOUR, POLICY, T0
+
+NONCE = bytes(range(32))
+
+# header hash of block 1 and the salt of its one credential
+HEADER = "5e4fa25d64b61da00363e80826d9d76fea65386732add162ef9c729fd0bb3fe4"
+SALT = "f5b165224a58b791df6af1d8303e61cd"
+TOKEN = HEADER + "00000000" + SALT
+RECEIPT_FRAME = (
+    "df91c72211756c2884ef2c19d21bb383" + HEADER + "00000000" "00" "000000006553ff10" "0040"
+    "1df6b596227be64f87f3570e47b1a6705870bf6de36a9e7b1826401e2b9ae4da"
+    "8bf4448915587c88cf089d85979e4dab8478fba6ac151d37d0d044972392410c"
+)
+SUBMIT_ACK = "11" "f90dfa513a93cb55e564dfff455bdfa50f0a5a3cdce938f07cc19320b08bd487" "00"
+TOKEN_REPLY = "13" "01" + TOKEN
+ERROR_REPLY = "7f" "0004" "0012" + b"unknown commitment".hex()
+VERIFY_REQUEST = "30" + TOKEN + "000000006553ff10" "0009" "503030303030303031" "475243" "00005a7a"
+OUTCOME_REPLY = "31" "00" "00" "01" "0000000000000001" "00000000" "000000006553ff10" "007f" + RECEIPT_FRAME
+AUTH_FRAME = (
+    "02" "01" "f902f9406203b69c4b49b27c46ad1df7" "0040"
+    "93ad79df8ec32274fe78ae1cbac3afa5e4a41897f241dc5e959a1566e4cffaa2"
+    "4e3d0069c828aa2c5f4e5242e2298537153ee9616f15dabcb6e4890a3959130d"
+)
+
+
+def node_config(tmp_path, c, role, key, name):
+    save_keypair(tmp_path / f"{name}.key", key)
+    return NodeConfig(
+        role=role,
+        listen=("127.0.0.1", 0),
+        data_dir=tmp_path / name,
+        registry_file=tmp_path / "registry.txt",
+        key_file=tmp_path / f"{name}.key",
+        policy_file=tmp_path / "policy.txt",
+        block_interval=3600,
+        genesis_time=c.genesis_time,
+    )
+
+
+def over_pair(node, member, registry, call):
+    """Run one client call against node.dispatch across a socket pair.
+
+    Returns (result or raised ServiceError, request frame, reply frame)."""
+    ours, theirs = socket.socketpair()
+    seen = []
+
+    def serve():
+        request = recv_frame(theirs)
+        reply = node.dispatch(member, request)
+        seen.extend((request, reply))
+        send_frame(theirs, reply)
+
+    server = threading.Thread(target=serve)
+    server.start()
+    try:
+        result = call(NodeClient(ours, registry))
+    except ServiceError as exc:
+        result = exc
+    finally:
+        ours.close()  # ends the server's read if the call never sent a request
+        server.join(timeout=5)
+        theirs.close()
+    assert not server.is_alive()
+    return result, seen[0], seen[1]
+
+
+def build_wire(tmp_path):
+    """One credential submitted to hsa-0, sealed into block 1 by hsa-1,
+    announced to hsa-0 and to the member, and checked there."""
+    c = Consortium()
+    save_registry(tmp_path / "registry.txt", c.registry)
+    (tmp_path / "policy.txt").write_text(format_policy(POLICY))
+    hsa = HsaNode(node_config(tmp_path, c, Role.HSA, c.hsa_keys[0], "hsa0"))
+    bm = BmNode(node_config(tmp_path, c, Role.BM, c.bm_keys[0], "bm0"))
+    pending = thf_issue(c.thf_keys[0], make_doc(1), True, c.method, T0, now=T0, rng=Random(1))
+    thf = c.thf_keys[0].owner
+
+    frames = {}
+    ack, _, frames["submit_ack"] = over_pair(hsa, thf, c.registry, lambda cl: cl.submit_dhp(pending))
+    state, (token,) = hsa_register(c.hsa_keys[1], c.state, [pending], T0 + 60)
+    for node in (hsa, bm):
+        accepted, _, _ = over_pair(node, c.hsa_keys[1].owner, c.registry, lambda cl: cl.announce_block(state.tip))
+        assert accepted
+    assert hsa.propose_once() is None  # hsa-0 is scheduled at height 2 and mints the token
+    got, _, frames["token_reply"] = over_pair(hsa, thf, c.registry, lambda cl: cl.get_token(ack[0]))
+    error, _, frames["error_reply"] = over_pair(hsa, thf, c.registry, lambda cl: cl.get_token(b"\x31" * 32))
+    checked, frames["verify_request"], frames["outcome_reply"] = over_pair(
+        bm, c.bm_keys[0].owner, c.registry, lambda cl: cl.verify(token, make_doc(1), T0 + HOUR)
+    )
+    return SimpleNamespace(c=c, hsa=hsa, bm=bm, block=state.tip, pending=pending, token=token, ack=ack, got=got,
+                           error=error, checked=checked, frames=frames)
+
+
+@pytest.fixture
+def wire(tmp_path):
+    return build_wire(tmp_path)
+
+
+def test_reply_frames_are_pinned(wire):
+    frames = wire.frames
+    assert frames["submit_ack"].hex() == SUBMIT_ACK
+    assert frames["token_reply"].hex() == TOKEN_REPLY
+    assert frames["error_reply"].hex() == ERROR_REPLY
+    assert frames["verify_request"].hex() == VERIFY_REQUEST
+    assert frames["outcome_reply"].hex() == OUTCOME_REPLY
+    # and the client decodes them back
+    assert wire.ack == (wire.pending.record.commitment, False)
+    assert wire.got == wire.token
+    assert (wire.error.code, wire.error.message) == (ERR_NOT_FOUND, "unknown commitment")
+    outcome, receipt = wire.checked
+    assert (outcome.status, outcome.violation_reason, outcome.dhp_location, outcome.checked_at) == (
+        OutcomeStatus.VALID, None, (1, 0), T0 + HOUR
+    )
+    assert receipt.bm_id == wire.c.bm_keys[0].owner
+
+
+def test_receipt_frame_is_pinned(wire):
+    c, receipt = wire.c, wire.checked[1]
+    assert receipt_frame_bytes(receipt).hex() == RECEIPT_FRAME
+    assert parse_receipt_frame(bytes.fromhex(RECEIPT_FRAME), c.registry) == receipt
+
+
+def test_auth_frame_is_pinned(wire, monkeypatch):
+    c, hsa = wire.c, wire.hsa
+    ours, theirs = socket.socketpair()
+    send_frame(theirs, b"\x01" + NONCE)
+    send_frame(theirs, b"\x03")
+    monkeypatch.setattr(socket, "create_connection", lambda *args, **kwargs: ours)
+    NodeClient.connect("127.0.0.1", 1, key=c.thf_keys[0], registry=c.registry).close()
+    frame = recv_frame(theirs)
+    theirs.close()
+    assert frame.hex() == AUTH_FRAME
+    assert _Handler._authenticate(hsa, frame, NONCE) == c.thf_keys[0].owner

@@ -395,7 +395,6 @@ def test_audit_manifest_full_coverage(consortium):
     state, tokens, _ = issue_and_register(consortium, docs)
     receipts = collect_receipts(consortium, state, tokens, docs)
     manifest = [(t.header_hash, t.record_index) for t in tokens]
-    assert audit_manifest(receipts, manifest) == []
     assert audit_manifest(receipts, manifest, consortium.registry) == []
 
 
@@ -405,7 +404,7 @@ def test_audit_manifest_reports_missing(consortium):
     receipts = collect_receipts(consortium, state, tokens, docs)
     manifest = [(t.header_hash, t.record_index) for t in tokens]
     withheld = receipts[1:]
-    assert audit_manifest(withheld, manifest) == [manifest[0]]
+    assert audit_manifest(withheld, manifest, consortium.registry) == [manifest[0]]
 
 
 def test_audit_manifest_detects_forged_receipt(consortium):
@@ -420,7 +419,7 @@ def test_audit_manifest_detects_forged_receipt(consortium):
     forged = replace(receipts[1], bm_signature=sign(outsider, forged_preimage))
     manifest = [(t.header_hash, t.record_index) for t in tokens]
     with pytest.raises(BadReceiptSignature) as err:
-        audit_manifest([receipts[0], forged], manifest)
+        audit_manifest([receipts[0], forged], manifest, consortium.registry)
     assert err.value.index == 1
 
 
@@ -442,7 +441,6 @@ def test_audit_manifest_registry_rejects_unregistered_member(consortium):
         bm_signature=sign(rogue_bm, preimage),
     )
     manifest = [(tokens[0].header_hash, tokens[0].record_index)]
-    assert audit_manifest([rogue_receipt], manifest) == []  # self-consistent signature
     with pytest.raises(BadReceiptSignature):
         audit_manifest([rogue_receipt], manifest, consortium.registry)
 

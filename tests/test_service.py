@@ -1,4 +1,6 @@
+import socketserver
 import struct
+import threading
 import time
 from dataclasses import replace
 from random import Random
@@ -25,12 +27,16 @@ from dhp.service import (
     BmNode,
     HsaNode,
     MSG_ANNOUNCE,
+    MSG_AUTH_OK,
+    MSG_CHALLENGE,
     MSG_ERROR,
     MSG_VERIFY,
     NodeClient,
     NodeConfig,
     ServiceError,
     parse_node_config,
+    recv_frame,
+    send_frame,
 )
 from dhp.storage import ReceiptLog, replay_block_log, save_keypair, save_registry
 
@@ -82,7 +88,7 @@ def net(tmp_path):
     bm.stop()
 
 
-def connect(node, key, registry=None):
+def connect(node, key, registry):
     return NodeClient.connect(*node.address, key=key, registry=registry)
 
 
@@ -135,7 +141,7 @@ def test_unregistered_key_cannot_authenticate(net):
     c, hsa, _ = net
     stranger = seeded_key(Role.THF, "stranger")
     with pytest.raises(ServiceError):
-        NodeClient.connect(*hsa.address, key=stranger)
+        NodeClient.connect(*hsa.address, key=stranger, registry=c.registry)
 
 
 def test_submit_requires_thf_role(net):
@@ -423,6 +429,43 @@ def test_dispatch_answers_unparseable_bodies_as_malformed(net):
     body = token_bytes(token) + struct.pack(">Q", now) + doc
     assert _error_code(bm.dispatch(c.bm_keys[0].owner, bytes((MSG_VERIFY,)) + body)) == ERR_MALFORMED
     assert bm.state.height == 0
+
+
+class _GarbledPeer(socketserver.BaseRequestHandler):
+    """Lets anyone in, then answers every request with the two-byte frame
+    7f 00: an ERROR type byte whose code and message are missing."""
+
+    def handle(self):
+        try:
+            send_frame(self.request, bytes((MSG_CHALLENGE,)) + b"\x00" * 32)
+            recv_frame(self.request)
+            send_frame(self.request, bytes((MSG_AUTH_OK,)))
+            while True:
+                recv_frame(self.request)
+                send_frame(self.request, b"\x7f\x00")
+        except OSError:
+            return
+
+
+def test_garbled_peer_replies_stop_neither_proposer_nor_sync(net, monkeypatch):
+    c, hsa, _ = net
+    crashes = []
+    monkeypatch.setattr(threading, "excepthook", crashes.append)
+    peer = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _GarbledPeer)
+    peer.daemon_threads = True
+    threading.Thread(target=peer.serve_forever, daemon=True).start()
+    hsa.config.peers = [peer.server_address]
+    try:
+        with connect(hsa, c.thf_keys[0], c.registry) as client:
+            for i in (40, 41):
+                ack, _ = client.submit_dhp(issue(c, i))
+                client.wait_for_token(ack)
+        assert hsa.state.height == 2
+        hsa.sync_from_peers()
+    finally:
+        peer.shutdown()
+        peer.server_close()
+    assert crashes == []
 
 
 def test_orphan_that_fails_keeps_disk_and_memory_in_step(tmp_path):
