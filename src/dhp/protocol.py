@@ -50,8 +50,6 @@ from .ledger import (
 
 RECEIPT_TAG = b"DHPR1|"
 
-DEFAULT_MAX_TEST_AGE_HOURS = 72
-
 
 class NotRiskFree(DhpError):
     """Facilities issue credentials only for risk-free results."""

@@ -21,8 +21,10 @@ hierarchy, the registry is the trust root.
     0x7f ERROR       code(2) len(2) utf-8 message
 
 Flags (duplicate, included, located, accepted) are 0 or 1; violation 0 is
-none. Both ends decode every body through core.Reader, so any malformed body
-is an EncodingError or ServiceError, never a crash of the reading thread.
+none. Accepted 0: not appended (above the receiver's tip, or invalid), so
+the announcer sends the blocks after the receiver's head. Both ends decode
+every body through core.Reader, so any malformed body is an EncodingError or
+ServiceError, never a crash of the reading thread.
 
 Each node owns its chain through a single writer lock; request handlers read
 immutable snapshots. Appended blocks are persisted to the node's block log
@@ -280,7 +282,6 @@ class Node:
         self._lock = threading.RLock()
         self._log = BlockLog(config.data_dir / "blocks.log")
         self._state = self._log.recover(self.registry, int(time.time()), config.genesis_time)
-        self._orphans: dict[int, Block] = {}
         self._server: _Server | None = None
         self._stop = threading.Event()
 
@@ -310,28 +311,22 @@ class Node:
     # -- chain writes (single writer discipline)
 
     def _apply_block(self, block: Block) -> bool:
-        """Append a received block if it extends the chain; buffer gaps."""
+        """Append the block if it is the next one; True if the chain then
+        reaches its height."""
         with self._lock:
             expected = len(self._state.blocks)
-            height = block.header.height
-            if height < expected:
+            if block.header.height < expected:
                 return True  # already have it
-            if height > expected:
-                self._orphans[height] = block
-                return True
-            # Each block is logged, then published, so disk and memory hold
-            # the same chain. A buffered orphan that fails is dropped and ends
-            # the drain; the blocks before it stay.
-            now = int(time.time())
+            if block.header.height > expected:
+                return False  # a gap: the announcer sends the missing blocks
             try:
-                while block is not None:
-                    state = append_block(self._state, block, now)
-                    self._log.append(block)
-                    self._state = state
-                    block = self._orphans.pop(len(state.blocks), None)
+                state = append_block(self._state, block, int(time.time()))
             except InvalidBlock:
-                pass
-            return len(self._state.blocks) > expected
+                return False
+            # Logged, then published, so disk and memory hold the same chain.
+            self._log.append(block)
+            self._state = state
+            return True
 
     def sync_from_peers(self) -> None:
         """One catch-up pass: fetch missing blocks from each peer."""
@@ -341,9 +336,7 @@ class Node:
                     head = client.get_head()
                     missing: list[Block] = []
                     cursor = header_hash(head)
-                    with self._lock:
-                        known = dict(self._state.header_index)
-                    while cursor not in known:
+                    while cursor not in self._state.header_index:
                         blk = client.get_block(cursor)
                         if blk is None:
                             break
@@ -479,10 +472,17 @@ class HsaNode(Node):
             )
 
     def _announce(self, block: Block) -> None:
+        """Send the block to each peer. One that refuses it is sent the blocks
+        after its head, in order, up to this one or the first refusal."""
         for peer in self.config.peers:
             try:
                 with NodeClient.connect(*peer, key=self.key, registry=self.registry) as client:
-                    client.announce_block(block)
+                    if client.announce_block(block):
+                        continue
+                    head = client.get_head()
+                    for missing in self._state.blocks[head.height + 1 : block.header.height + 1]:
+                        if not client.announce_block(missing):
+                            break
             except (OSError, DhpError):
                 continue
 

@@ -2,11 +2,12 @@
 
 Block log: magic "DHPB" + u8 version, then length-prefixed canonical block
 frames (u32-BE length + block bytes). Recovery replays every frame through
-full validation; a torn final frame (truncated write) is discarded and the
-file trimmed back to the last good boundary, while anything else corrupt
-raises with the exact byte offset of the offending frame.
+full validation; anything corrupt raises with the exact byte offset of the
+offending frame.
 
 Receipt log: magic "DHPR" + u8 version + length-prefixed receipt frames.
+A writer opening either log trims a torn final frame (truncated write) back
+to the last good boundary; readers ignore one.
 Registry file: one member per line, `ROLE hex_id hex_pubkey`.
 Key file: a single `ROLE hex_id hex_seed` line; public key and id re-derive
 from the seed on load, so tampering is detected.
@@ -38,10 +39,15 @@ class CorruptLog(DhpError):
         self.reason = reason
 
 
-def _init_log(path: Path, magic: bytes) -> None:
+def _open_log(path: Path, magic: bytes) -> None:
+    """Create a log, or trim its torn tail so the next append starts on a
+    frame boundary."""
     if not path.exists() or path.stat().st_size == 0:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(magic + bytes((LOG_VERSION,)))
+    _, torn = read_frames(path.read_bytes(), magic, strict=False)
+    if torn is not None:
+        os.truncate(path, torn)
 
 
 def _check_header(data: bytes, magic: bytes) -> None:
@@ -105,19 +111,15 @@ def replay_block_log(
 
 
 class BlockLog:
-    """Writer side of the block log: recover-on-open, append-with-sync."""
+    """Writer side of the block log: trim-on-open, recover, append-with-sync."""
 
     def __init__(self, path: Path | str):
         self.path = Path(path)
-        _init_log(self.path, BLOCK_LOG_MAGIC)
+        _open_log(self.path, BLOCK_LOG_MAGIC)
 
     def recover(self, registry: Registry, now: int, genesis_time: int = 0) -> ChainState:
-        """Replay the log, discarding a torn tail (the file is trimmed)."""
-        state, torn = replay_block_log(self.path, registry, now, strict=False, genesis_time=genesis_time)
-        if torn is not None:
-            with open(self.path, "r+b") as fh:
-                fh.truncate(torn)
-        return state
+        """Replay the log, whose torn tail the open trimmed."""
+        return replay_block_log(self.path, registry, now, strict=False, genesis_time=genesis_time)[0]
 
     def append(self, block: Block) -> None:
         payload = block_bytes(block)
@@ -130,7 +132,7 @@ class BlockLog:
 class ReceiptLog:
     def __init__(self, path: Path | str):
         self.path = Path(path)
-        _init_log(self.path, RECEIPT_LOG_MAGIC)
+        _open_log(self.path, RECEIPT_LOG_MAGIC)
 
     def append(self, receipt: VerificationReceipt) -> None:
         payload = receipt_frame_bytes(receipt)
@@ -140,11 +142,7 @@ class ReceiptLog:
             os.fsync(fh.fileno())
 
     def read_all(self, registry: Registry) -> list[VerificationReceipt]:
-        data = self.path.read_bytes()
-        frames, torn = read_frames(data, RECEIPT_LOG_MAGIC, strict=False)
-        if torn is not None:
-            with open(self.path, "r+b") as fh:
-                fh.truncate(torn)
+        frames, _ = read_frames(self.path.read_bytes(), RECEIPT_LOG_MAGIC, strict=False)
         receipts = []
         for offset, payload in frames:
             try:

@@ -14,6 +14,7 @@ from dhp.ledger import (
     DhpToken,
     append_block,
     block_bytes,
+    chain_bytes,
     header_hash,
     propose_block,
     token_bytes,
@@ -27,6 +28,7 @@ from dhp.service import (
     BmNode,
     HsaNode,
     MSG_ANNOUNCE,
+    MSG_ANNOUNCE_ACK,
     MSG_AUTH_OK,
     MSG_CHALLENGE,
     MSG_ERROR,
@@ -323,8 +325,6 @@ def test_two_authorities_alternate_over_sockets(tmp_path):
         with connect(nodes[0], c.thf_keys[0], c.registry) as client:
             token0 = client.wait_for_token(ack0)
         assert wait_until(lambda: nodes[0].state.height == 2 and nodes[1].state.height == 2)
-        from dhp.ledger import chain_bytes
-
         assert chain_bytes(nodes[0].state) == chain_bytes(nodes[1].state)
         assert nodes[1].state.blocks[1].header.authority_id == c.hsa_keys[1].owner
         assert nodes[0].state.blocks[2].header.authority_id == c.hsa_keys[0].owner
@@ -469,8 +469,9 @@ def test_garbled_peer_replies_stop_neither_proposer_nor_sync(net, monkeypatch):
 
 
 def test_orphan_that_fails_keeps_disk_and_memory_in_step(tmp_path):
-    """Block 2 with a zeroed authority signature waits as an orphan; block 1
-    is then accepted, the orphan is dropped, and the log replays to block 1."""
+    """Block 2 with a zeroed authority signature, announced above the tip,
+    is refused and kept nowhere; block 1 is then accepted, and the log
+    replays to block 1."""
     c = Consortium(num_hsa=1, num_thf=1, num_bm=1, genesis_time=0)
     save_registry(tmp_path / "registry.txt", c.registry)
     save_keypair(tmp_path / "bm0.key", c.bm_keys[0])
@@ -491,14 +492,51 @@ def test_orphan_that_fails_keeps_disk_and_memory_in_step(tmp_path):
     bm.start()
     try:
         with connect(bm, c.hsa_keys[0], c.registry) as client:
-            assert client.announce_block(forged2)
+            assert not client.announce_block(forged2)
             assert client.announce_block(block1)
             assert bm.state.height == 1
-            assert not bm._orphans
             assert client.announce_block(block1)  # a repeat is not logged again
     finally:
         bm.stop()
     assert BmNode(config).state.height == 1
+
+
+def test_forged_blocks_above_the_tip_are_refused_and_kept_nowhere(net):
+    c, _, bm = net
+    block1 = propose_block(c.state, [issue(c, 82).record], c.hsa_keys[0], int(time.time()))
+    before, log_bytes = bm.state, bm._log.path.read_bytes()
+    for height in range(2, 52):
+        forged = Block(replace(block1.header, height=height, authority_signature=b"\x00" * 64), block1.records)
+        reply = bm.dispatch(c.hsa_keys[0].owner, bytes((MSG_ANNOUNCE,)) + block_bytes(forged))
+        assert reply == bytes((MSG_ANNOUNCE_ACK, 0))
+    assert bm.state is before
+    assert bm._log.path.read_bytes() == log_bytes
+
+
+def test_member_that_missed_an_announce_catches_up_on_the_next(net, monkeypatch):
+    """Block 1 is made while the member is not a peer; announcing block 2
+    is refused, so the authority sends the member blocks 1 and 2."""
+    c, hsa, bm = net
+    announced = threading.Event()
+    announce = hsa._announce
+
+    def announce_then_signal(block):
+        announce(block)
+        announced.set()
+
+    monkeypatch.setattr(hsa, "_announce", announce_then_signal)
+    hsa.config.peers = []
+    with connect(hsa, c.thf_keys[0], c.registry) as client:
+        client.wait_for_token(client.submit_dhp(issue(c, 83))[0])
+        assert announced.wait(5)  # block 1 went to no one
+        hsa.config.peers = [bm.address]
+        for i in (84, 85, 86):
+            client.wait_for_token(client.submit_dhp(issue(c, i))[0])
+    assert hsa.state.height == 4
+    assert wait_until(lambda: bm.state.height == 4)
+    assert chain_bytes(bm.state) == chain_bytes(hsa.state)
+    replayed, _ = replay_block_log(bm._log.path, c.registry, int(time.time()), strict=True)
+    assert replayed.tip == hsa.state.tip
 
 
 def test_node_rejects_mismatched_key_role(tmp_path):

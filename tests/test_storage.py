@@ -178,6 +178,35 @@ def test_receipt_log_round_trip(tmp_path, consortium):
     assert log.read_all(consortium.registry) == receipts
 
 
+def test_receipt_log_writer_trims_a_torn_tail(tmp_path, consortium):
+    """A crash mid-append leaves a torn tail; the next writer trims it, so
+    its receipt starts on a frame boundary and the log reads back whole."""
+    state, tokens, _ = issue_and_register(consortium, [make_doc(0), make_doc(1)])
+    first, second = (
+        bm_verify(consortium.bm_keys[0], state, token, make_doc(i), POLICY, T0 + 3600)[1]
+        for i, token in enumerate(tokens)
+    )
+    path = tmp_path / "receipts.log"
+    ReceiptLog(path).append(first)
+    with open(path, "ab") as fh:
+        fh.write(b"\x00\x00")  # two bytes of a length prefix
+    log = ReceiptLog(path)
+    log.append(second)
+    assert log.read_all(consortium.registry) == [first, second]
+
+
+def test_receipt_log_read_ignores_a_torn_tail_without_writing(tmp_path, consortium):
+    state, tokens, _ = issue_and_register(consortium, [make_doc(0)])
+    _, receipt = bm_verify(consortium.bm_keys[0], state, tokens[0], make_doc(0), POLICY, T0 + 3600)
+    log = ReceiptLog(tmp_path / "receipts.log")
+    log.append(receipt)
+    with open(log.path, "ab") as fh:
+        fh.write(b"\x00\x00\x01")
+    torn = log.path.read_bytes()
+    assert log.read_all(consortium.registry) == [receipt]
+    assert log.path.read_bytes() == torn
+
+
 def test_registry_text_round_trip(consortium):
     text = format_registry(consortium.registry)
     assert parse_registry(text) == consortium.registry
