@@ -31,10 +31,6 @@ _METHOD_RE = re.compile(r"^\S+$")
 ACTOR_ID_LEN = 16
 COMMITMENT_LEN = 32
 
-#: Test-method codes the consortium registry recognises out of the box.
-KNOWN_METHOD_CODES = frozenset({"RT-qPCR"})
-
-
 class DhpError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -133,11 +129,10 @@ class TestMethod:
     __test__ = False  # keep pytest from collecting this as a test class
 
     code: str
-    registry_known: bool = True
 
     @classmethod
     def named(cls, code: str) -> "TestMethod":
-        return cls(code=code, registry_known=code in KNOWN_METHOD_CODES)
+        return cls(code=code)
 
 
 @dataclass(frozen=True)

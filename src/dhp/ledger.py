@@ -205,6 +205,16 @@ def scheduled_authority(height: int, authority_set: tuple[ActorId, ...]) -> Acto
     return authority_set[height % len(authority_set)]
 
 
+def check_authority(state: ChainState, header: BlockHeader) -> BlockError | None:
+    """None iff the authority scheduled for the header's height signed it."""
+    sched = scheduled_authority(header.height, state.authority_set)
+    if header.authority_id.role is not Role.HSA or header.authority_id.id != sched.id:
+        return BlockError.WRONG_AUTHORITY
+    if not verify_sig(sched.public_key, header_signing_bytes(header), header.authority_signature):
+        return BlockError.BAD_AUTHORITY_SIG
+    return None
+
+
 def check_issuer(state: ChainState, record: HealthPassport) -> BlockError | None:
     """None iff a registered testing facility signed the record's preimage;
     a record whose fields have no canonical encoding has no valid signature."""
@@ -283,11 +293,9 @@ def validate_block(state: ChainState, block: Block, now: int) -> BlockError | No
         return BlockError.WRONG_HEIGHT
     if header.prev_hash != header_hash(state.tip.header):
         return BlockError.BAD_PREV_HASH
-    sched = scheduled_authority(header.height, state.authority_set)
-    if header.authority_id.role is not Role.HSA or header.authority_id.id != sched.id:
-        return BlockError.WRONG_AUTHORITY
-    if not verify_sig(sched.public_key, header_signing_bytes(header), header.authority_signature):
-        return BlockError.BAD_AUTHORITY_SIG
+    error = check_authority(state, header)
+    if error is not None:
+        return error
     if not 1 <= len(block.records) <= MAX_BLOCK_RECORDS:
         return BlockError.BAD_RECORD_COUNT
     try:

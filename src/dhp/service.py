@@ -21,8 +21,9 @@ hierarchy, the registry is the trust root.
     0x7f ERROR       code(2) len(2) utf-8 message
 
 Flags (duplicate, included, located, accepted) are 0 or 1; violation 0 is
-none. Accepted 0: not appended (above the receiver's tip, or invalid), so
-the announcer sends the blocks after the receiver's head. Both ends decode
+none. Accepted 1: the receiver holds that block. Accepted 0: it does not
+(the block is above its tip, invalid, or conflicts with the one it holds),
+so the announcer sends the blocks after the receiver's head. Both ends decode
 every body through core.Reader, so any malformed body is an EncodingError or
 ServiceError, never a crash of the reading thread.
 
@@ -70,9 +71,11 @@ from .ledger import (
     admit,
     append_block,
     block_bytes,
+    check_authority,
     header_bytes,
     header_hash,
     parse_block,
+    propose_block,
     read_block,
     read_header,
     read_token,
@@ -86,7 +89,6 @@ from .protocol import (
     VerificationReceipt,
     ViolationReason,
     bm_verify,
-    hsa_register,
     parse_policy,
     parse_receipt_frame,
     pending_bytes,
@@ -311,34 +313,31 @@ class Node:
     # -- chain writes (single writer discipline)
 
     def _apply_block(self, block: Block) -> bool:
-        """Append the block if it is the next one; True if the chain then
-        reaches its height."""
+        """The one way into the chain: append the next block, validated (else
+        InvalidBlock) and logged. True iff the chain holds this very block."""
         with self._lock:
-            expected = len(self._state.blocks)
-            if block.header.height < expected:
-                return True  # already have it
-            if block.header.height > expected:
-                return False  # a gap: the announcer sends the missing blocks
-            try:
+            height = block.header.height
+            if height == len(self._state.blocks):
                 state = append_block(self._state, block, int(time.time()))
-            except InvalidBlock:
-                return False
-            # Logged, then published, so disk and memory hold the same chain.
-            self._log.append(block)
-            self._state = state
-            return True
+                # Logged, then published, so disk and memory hold the same chain.
+                self._log.append(block)
+                self._state = state
+            return self._state.blocks[height:height + 1] == (block,)
 
     def sync_from_peers(self) -> None:
-        """One catch-up pass: fetch missing blocks from each peer."""
+        """One catch-up pass: fetch missing blocks from each peer, walking back
+        from a head its scheduled authority signed while replies match."""
         for peer in self.config.peers:
             try:
                 with NodeClient.connect(*peer, key=self.key, registry=self.registry) as client:
                     head = client.get_head()
-                    missing: list[Block] = []
                     cursor = header_hash(head)
+                    if cursor not in self._state.header_index and check_authority(self._state, head) is not None:
+                        continue
+                    missing: list[Block] = []
                     while cursor not in self._state.header_index:
                         blk = client.get_block(cursor)
-                        if blk is None:
+                        if blk is None or header_hash(blk.header) != cursor:
                             break
                         missing.append(blk)
                         cursor = blk.header.prev_hash
@@ -381,14 +380,18 @@ class Node:
         if member.role is not Role.HSA:
             return _error(ERR_WRONG_ROLE, "only authorities announce blocks")
         block = parse_block(r.rest(), self.registry)
-        accepted = self._apply_block(block)
+        try:
+            accepted = self._apply_block(block)
+        except InvalidBlock:
+            accepted = False
         return bytes((MSG_ANNOUNCE_ACK, 1 if accepted else 0))
 
 
 class HsaNode(Node):
     """Authority node: accepts facility submissions, proposes blocks at its
-    scheduled heights, and announces them to peers. Tokens are minted at
-    inclusion and kept in memory only (the salt never touches disk)."""
+    scheduled heights, and announces them to peers. A pending credential's
+    token is minted when any block that includes it enters the chain, and is
+    kept in memory only (the salt never touches disk)."""
 
     def __init__(self, config: NodeConfig):
         super().__init__(config)
@@ -442,34 +445,27 @@ class HsaNode(Node):
     def propose_once(self) -> Block | None:
         """Propose one block if scheduled and there is work. Returns it."""
         with self._lock:
-            state = self._state
-            sched = scheduled_authority(len(state.blocks), state.authority_set)
-            if sched.id != self.key.owner.id:
+            sched = scheduled_authority(len(self._state.blocks), self._state.authority_set)
+            if sched.id != self.key.owner.id or not self._mempool:
                 return None
-            self._reap_included(state)
-            if not self._mempool:
-                return None
-            batch = list(itertools.islice(self._mempool.values(), MAX_BLOCK_RECORDS))
-            state, tokens = hsa_register(self.key, state, batch, int(time.time()))
-            block = state.tip
-            # Logged, then published, as in _apply_block: a block that never
-            # reached the disk is neither served nor credited with tokens.
-            self._log.append(block)
-            self._state = state
-            for p, token in zip(batch, tokens):
-                self._tokens[p.record.commitment] = token
-                self._mempool.pop(p.record.commitment, None)
+            batch = [p.record for p in itertools.islice(self._mempool.values(), MAX_BLOCK_RECORDS)]
+            block = propose_block(self._state, batch, self.key, int(time.time()))
+            self._apply_block(block)
         self._announce(block)
         return block
 
-    def _reap_included(self, state: ChainState) -> None:
-        """Mint tokens for mempool entries that made it on-chain elsewhere."""
-        for commitment in [c for c in self._mempool if c in state.index]:
-            height, pos = state.index[commitment]
-            pending = self._mempool.pop(commitment)
-            self._tokens[commitment] = DhpToken(
-                header_hash(state.blocks[height].header), pos, pending.salt
-            )
+    def _apply_block(self, block: Block) -> bool:
+        """Node._apply_block, then mint the token of each pending credential
+        the block holds."""
+        with self._lock:
+            held = super()._apply_block(block)
+            if held:
+                block_hash = header_hash(block.header)
+                for pos, record in enumerate(block.records):
+                    pending = self._mempool.pop(record.commitment, None)
+                    if pending is not None:
+                        self._tokens[record.commitment] = DhpToken(block_hash, pos, pending.salt)
+        return held
 
     def _announce(self, block: Block) -> None:
         """Send the block to each peer. One that refuses it is sent the blocks

@@ -50,6 +50,14 @@ def _open_log(path: Path, magic: bytes) -> None:
         os.truncate(path, torn)
 
 
+def _append_frame(path: Path, payload: bytes) -> None:
+    """Append one length-prefixed frame and make it durable before returning."""
+    with open(path, "ab") as fh:
+        fh.write(struct.pack(">I", len(payload)) + payload)
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
 def _check_header(data: bytes, magic: bytes) -> None:
     if len(data) < _HEADER_LEN or data[:4] != magic:
         raise CorruptLog(0, f"bad magic, expected {magic!r}")
@@ -122,11 +130,7 @@ class BlockLog:
         return replay_block_log(self.path, registry, now, strict=False, genesis_time=genesis_time)[0]
 
     def append(self, block: Block) -> None:
-        payload = block_bytes(block)
-        with open(self.path, "ab") as fh:
-            fh.write(struct.pack(">I", len(payload)) + payload)
-            fh.flush()
-            os.fsync(fh.fileno())
+        _append_frame(self.path, block_bytes(block))
 
 
 class ReceiptLog:
@@ -135,11 +139,7 @@ class ReceiptLog:
         _open_log(self.path, RECEIPT_LOG_MAGIC)
 
     def append(self, receipt: VerificationReceipt) -> None:
-        payload = receipt_frame_bytes(receipt)
-        with open(self.path, "ab") as fh:
-            fh.write(struct.pack(">I", len(payload)) + payload)
-            fh.flush()
-            os.fsync(fh.fileno())
+        _append_frame(self.path, receipt_frame_bytes(receipt))
 
     def read_all(self, registry: Registry) -> list[VerificationReceipt]:
         frames, _ = read_frames(self.path.read_bytes(), RECEIPT_LOG_MAGIC, strict=False)

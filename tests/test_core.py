@@ -128,8 +128,3 @@ def test_signing_bytes_rejects_bad_fields():
         dhp_signing_bytes(b"\x00" * 32, True, 2**64, method, ISSUER)
     with pytest.raises(EncodingError):
         dhp_signing_bytes(b"\x00" * 32, True, 0, method, ActorId(Role.THF, b"\x00" * 8))
-
-
-def test_method_known_flag():
-    assert TestMethod.named("RT-qPCR").registry_known
-    assert not TestMethod.named("HOME-KIT").registry_known

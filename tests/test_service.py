@@ -1,3 +1,4 @@
+import contextlib
 import socketserver
 import struct
 import threading
@@ -15,8 +16,10 @@ from dhp.ledger import (
     append_block,
     block_bytes,
     chain_bytes,
+    header_bytes,
     header_hash,
     propose_block,
+    scheduled_authority,
     token_bytes,
 )
 from dhp.protocol import OutcomeStatus, ViolationReason, format_policy, thf_issue
@@ -30,8 +33,11 @@ from dhp.service import (
     MSG_ANNOUNCE,
     MSG_ANNOUNCE_ACK,
     MSG_AUTH_OK,
+    MSG_BLOCK,
     MSG_CHALLENGE,
     MSG_ERROR,
+    MSG_GET_HEAD,
+    MSG_HEAD,
     MSG_VERIFY,
     NodeClient,
     NodeConfig,
@@ -337,22 +343,34 @@ def test_two_authorities_alternate_over_sockets(tmp_path):
             node.stop()
 
 
+def parked_authorities(tmp_path, num_hsa):
+    """Every authority of a registry, started and each the others' peer,
+    whose timers never cut a block: blocks are made by calling
+    propose_once()."""
+    c = Consortium(num_hsa=num_hsa, num_thf=1, num_bm=0, genesis_time=0)
+    save_registry(tmp_path / "registry.txt", c.registry)
+    nodes = []
+    for i, key in enumerate(c.hsa_keys):
+        save_keypair(tmp_path / f"hsa{i}.key", key)
+        node = HsaNode(NodeConfig(
+            role=Role.HSA,
+            listen=("127.0.0.1", 0),
+            data_dir=tmp_path / f"hsa{i}",
+            registry_file=tmp_path / "registry.txt",
+            key_file=tmp_path / f"hsa{i}.key",
+            block_interval=3600,
+        ))
+        node.start()
+        nodes.append(node)
+    for node in nodes:
+        node.config.peers = [other.address for other in nodes if other is not node]
+    return c, nodes
+
+
 @pytest.fixture
 def solo(tmp_path):
-    """The only authority of its registry, started, whose timer never cuts a
-    block: blocks are made by calling propose_once()."""
-    c = Consortium(num_hsa=1, num_thf=1, num_bm=0, genesis_time=0)
-    save_registry(tmp_path / "registry.txt", c.registry)
-    save_keypair(tmp_path / "hsa0.key", c.hsa_keys[0])
-    hsa = HsaNode(NodeConfig(
-        role=Role.HSA,
-        listen=("127.0.0.1", 0),
-        data_dir=tmp_path / "hsa0",
-        registry_file=tmp_path / "registry.txt",
-        key_file=tmp_path / "hsa0.key",
-        block_interval=3600,
-    ))
-    hsa.start()
+    """The only authority of its registry, with its timer parked."""
+    c, (hsa,) = parked_authorities(tmp_path, 1)
     yield c, hsa
     hsa.stop()
 
@@ -410,6 +428,40 @@ def test_propose_once_logs_before_it_publishes(solo, monkeypatch):
     assert replayed.tip == block
 
 
+def test_a_block_from_a_peer_mints_the_tokens_it_settles(tmp_path):
+    """A credential pending at both authorities gets its token at the one
+    that did not propose it as soon as the block arrives, not at that
+    authority's next turn, which may never come while the chain waits. The
+    held block's header sent again with another pending credential as its
+    records is refused and mints nothing."""
+    c, nodes = parked_authorities(tmp_path, 2)
+    try:
+        pending = issue(c, 73)
+        for node in nodes:
+            with connect(node, c.thf_keys[0], c.registry) as client:
+                ack, _ = client.submit_dhp(pending)
+        scheduled = scheduled_authority(1, nodes[0].state.authority_set)
+        proposer, other = sorted(nodes, key=lambda n: n.key.owner.id != scheduled.id)
+        block1 = proposer.propose_once()
+        assert block1.header.height == 1
+        with connect(proposer, c.thf_keys[0], c.registry) as client:
+            token = client.get_token(ack)
+        with connect(other, c.thf_keys[0], c.registry) as client:
+            assert client.get_token(ack) == token
+            assert token is not None and other._mempool == {}
+            later = issue(c, 74)
+            later_ack, _ = client.submit_dhp(later)
+        held = other.state
+        with connect(other, proposer.key, c.registry) as client:
+            assert not client.announce_block(Block(block1.header, (later.record,)))
+        with connect(other, c.thf_keys[0], c.registry) as client:
+            assert client.get_token(later_ack) is None
+        assert other.state is held and later_ack in other._mempool
+    finally:
+        for node in nodes:
+            node.stop()
+
+
 def _error_code(reply):
     assert reply[0] == MSG_ERROR, reply
     return struct.unpack_from(">H", reply, 1)[0]
@@ -432,8 +484,13 @@ def test_dispatch_answers_unparseable_bodies_as_malformed(net):
 
 
 class _GarbledPeer(socketserver.BaseRequestHandler):
-    """Lets anyone in, then answers every request with the two-byte frame
-    7f 00: an ERROR type byte whose code and message are missing."""
+    """Lets anyone in, then answers each request frame with reply(frame): by
+    default the two-byte frame 7f 00, an ERROR type byte whose code and
+    message are missing."""
+
+    @staticmethod
+    def reply(frame):
+        return b"\x7f\x00"
 
     def handle(self):
         try:
@@ -441,37 +498,44 @@ class _GarbledPeer(socketserver.BaseRequestHandler):
             recv_frame(self.request)
             send_frame(self.request, bytes((MSG_AUTH_OK,)))
             while True:
-                recv_frame(self.request)
-                send_frame(self.request, b"\x7f\x00")
+                send_frame(self.request, self.reply(recv_frame(self.request)))
         except OSError:
             return
+
+
+@contextlib.contextmanager
+def serving(handler):
+    """A fake peer served by `handler` on a free port; yields its address."""
+    peer = socketserver.ThreadingTCPServer(("127.0.0.1", 0), handler)
+    peer.daemon_threads = True
+    threading.Thread(target=peer.serve_forever, daemon=True).start()
+    try:
+        yield peer.server_address
+    finally:
+        peer.shutdown()
+        peer.server_close()
 
 
 def test_garbled_peer_replies_stop_neither_proposer_nor_sync(net, monkeypatch):
     c, hsa, _ = net
     crashes = []
     monkeypatch.setattr(threading, "excepthook", crashes.append)
-    peer = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _GarbledPeer)
-    peer.daemon_threads = True
-    threading.Thread(target=peer.serve_forever, daemon=True).start()
-    hsa.config.peers = [peer.server_address]
-    try:
+    with serving(_GarbledPeer) as address:
+        hsa.config.peers = [address]
         with connect(hsa, c.thf_keys[0], c.registry) as client:
             for i in (40, 41):
                 ack, _ = client.submit_dhp(issue(c, i))
                 client.wait_for_token(ack)
         assert hsa.state.height == 2
         hsa.sync_from_peers()
-    finally:
-        peer.shutdown()
-        peer.server_close()
     assert crashes == []
 
 
 def test_orphan_that_fails_keeps_disk_and_memory_in_step(tmp_path):
     """Block 2 with a zeroed authority signature, announced above the tip,
-    is refused and kept nowhere; block 1 is then accepted, and the log
-    replays to block 1."""
+    is refused and kept nowhere; block 1 is then accepted, a repeat of it is
+    acked without being logged again, a conflicting block 1 and block 1's
+    header with other records are refused, and the log replays to block 1."""
     c = Consortium(num_hsa=1, num_thf=1, num_bm=1, genesis_time=0)
     save_registry(tmp_path / "registry.txt", c.registry)
     save_keypair(tmp_path / "bm0.key", c.bm_keys[0])
@@ -488,17 +552,61 @@ def test_orphan_that_fails_keeps_disk_and_memory_in_step(tmp_path):
     block1 = propose_block(c.state, [issue(c, 80).record], c.hsa_keys[0], now)
     block2 = propose_block(append_block(c.state, block1, now), [issue(c, 81).record], c.hsa_keys[0], now)
     forged2 = Block(replace(block2.header, authority_signature=b"\x00" * 64), block2.records)
+    other1 = propose_block(c.state, [issue(c, 79).record], c.hsa_keys[0], now)
+    conflict1 = Block(replace(other1.header, authority_signature=b"\x00" * 64), other1.records)
+    swapped1 = Block(block1.header, other1.records)
     bm = BmNode(config)
     bm.start()
     try:
         with connect(bm, c.hsa_keys[0], c.registry) as client:
             assert not client.announce_block(forged2)
             assert client.announce_block(block1)
-            assert bm.state.height == 1
-            assert client.announce_block(block1)  # a repeat is not logged again
+            held, log_bytes = bm.state, bm._log.path.read_bytes()
+            assert held.height == 1
+            assert client.announce_block(block1)
+            assert not client.announce_block(conflict1)
+            assert not client.announce_block(swapped1)
+            assert bm.state is held
+            assert bm._log.path.read_bytes() == log_bytes
     finally:
         bm.stop()
     assert BmNode(config).state.height == 1
+
+
+@pytest.mark.parametrize("signed_head", [False, True])
+def test_sync_walks_back_only_from_a_signed_head_over_the_blocks_asked_for(net, signed_head):
+    """A peer serves a hash-linked chain of 30 unsigned blocks down to
+    genesis. With the chain's own unsigned head nothing is fetched; with a
+    genuine signed head whose hash the peer answers with the chain's top,
+    the walk stops at that first reply. The member is unchanged either way."""
+    c, _, bm = net
+    now = int(time.time())
+    template = propose_block(c.state, [issue(c, 87).record], c.hsa_keys[0], now)
+    chain, prev = [], header_hash(c.state.tip.header)
+    for height in range(1, 31):
+        header = replace(template.header, height=height, prev_hash=prev, authority_signature=b"\x00" * 64)
+        chain.append(Block(header, template.records))
+        prev = header_hash(header)
+    replies = {header_hash(b.header): b for b in chain}
+    head = chain[-1].header
+    if signed_head:
+        head = propose_block(c.state, [issue(c, 88).record], c.hsa_keys[0], now).header
+        replies[header_hash(head)] = chain[-1]
+    asked = []
+
+    def reply(frame):
+        if frame[0] == MSG_GET_HEAD:
+            return bytes((MSG_HEAD,)) + header_bytes(head)
+        asked.append(frame[1:])
+        return bytes((MSG_BLOCK,)) + block_bytes(replies[frame[1:]])
+
+    before, log_bytes = bm.state, bm._log.path.read_bytes()
+    with serving(type("ForgingPeer", (_GarbledPeer,), {"reply": staticmethod(reply)})) as address:
+        bm.config.peers = [address]
+        bm.sync_from_peers()
+    assert asked == ([header_hash(head)] if signed_head else [])
+    assert bm.state is before
+    assert bm._log.path.read_bytes() == log_bytes
 
 
 def test_forged_blocks_above_the_tip_are_refused_and_kept_nowhere(net):
