@@ -146,7 +146,8 @@ def cmd_bm_verify(args) -> int:
     token = parse_token(bytes.fromhex(args.token))
     at = args.at if args.at is not None else int(time.time())
     outcome, receipt = bm_verify(bm, state, token, _parse_doc(args), policy, at)
-    ReceiptLog(data_dir / "receipts.log").append(receipt)
+    with ReceiptLog(data_dir / "receipts.log") as log:
+        log.append(receipt)
     receipt_id = hashlib.sha256(receipt.bm_signature).hexdigest()[:16]
     if outcome.status is OutcomeStatus.VALID:
         print(f"Valid (receipt {receipt_id})")
@@ -185,7 +186,8 @@ def cmd_chain_audit(args) -> int:
 
 def cmd_audit_manifest(args) -> int:
     registry = load_registry(args.registry)
-    receipts = ReceiptLog(args.receipts).read_all(registry)
+    with ReceiptLog(args.receipts) as log:
+        receipts = log.read_all(registry)
     manifest = parse_manifest(Path(args.manifest).read_text())
     missing = audit_manifest(receipts, manifest, registry)
     if not missing:

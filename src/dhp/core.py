@@ -43,6 +43,9 @@ class EncodingError(DhpError):
     """A value cannot be represented in the canonical byte layout."""
 
 
+_U16, _U32, _U64 = struct.Struct(">H"), struct.Struct(">I"), struct.Struct(">Q")
+
+
 class Reader:
     """The one decoder of canonical frames: reads fields in order from the
     front of a frame. Every short read raises EncodingError, and so do
@@ -53,23 +56,37 @@ class Reader:
         self.pos = 0
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+        pos = self.pos
+        if pos + n > len(self.data):
             raise EncodingError("frame truncated")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
+        self.pos = pos + n
+        return self.data[pos:pos + n]
 
     def u8(self) -> int:
-        return self.take(1)[0]
+        try:
+            value = self.data[self.pos]
+        except IndexError:
+            raise EncodingError("frame truncated") from None
+        self.pos += 1
+        return value
+
+    def _unpack(self, fmt: struct.Struct) -> int:
+        """One big-endian integer, read in place."""
+        try:
+            (value,) = fmt.unpack_from(self.data, self.pos)
+        except struct.error:
+            raise EncodingError("frame truncated") from None
+        self.pos += fmt.size
+        return value
 
     def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
+        return self._unpack(_U16)
 
     def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
+        return self._unpack(_U32)
 
     def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
+        return self._unpack(_U64)
 
     def done(self) -> None:
         if self.pos != len(self.data):

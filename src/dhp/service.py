@@ -295,11 +295,14 @@ class Node:
         threading.Thread(target=self._server.serve_forever, daemon=True).start()
 
     def stop(self) -> None:
+        """Stop serving and close the node's logs: a handler or proposer
+        still running gets OSError from any append, and writes nothing."""
         self._stop.set()
         if self._server is not None:
             self._server.shutdown()
             self._server.server_close()
             self._server = None
+        self._log.close()
 
     @property
     def address(self) -> tuple[str, int]:
@@ -492,6 +495,10 @@ class BmNode(Node):
         assert config.policy_file is not None
         self.policy: HygienePolicy = parse_policy(config.policy_file.read_text())
         self._receipts = ReceiptLog(config.data_dir / "receipts.log")
+
+    def stop(self) -> None:
+        super().stop()
+        self._receipts.close()
 
     def dispatch_role(self, member: ActorId, kind: int, r: Reader) -> bytes:
         if kind == MSG_VERIFY:

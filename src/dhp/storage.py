@@ -7,7 +7,9 @@ offending frame.
 
 Receipt log: magic "DHPR" + u8 version + length-prefixed receipt frames.
 A writer opening either log trims a torn final frame (truncated write) back
-to the last good boundary; readers ignore one.
+to the last good boundary, then holds the log open until close(): each
+append is one write of the whole frame and one fsync. Readers ignore a torn
+frame.
 Registry file: one member per line, `ROLE hex_id hex_pubkey`.
 Key file: a single `ROLE hex_id hex_seed` line; public key and id re-derive
 from the seed on load, so tampering is detected.
@@ -15,8 +17,10 @@ from the seed on load, so tampering is detected.
 
 from __future__ import annotations
 
+import errno
 import os
 import struct
+import threading
 from pathlib import Path
 
 from .core import ActorId, DhpError, EncodingError, Registry, Role
@@ -48,14 +52,6 @@ def _open_log(path: Path, magic: bytes) -> None:
     _, torn = read_frames(path.read_bytes(), magic, strict=False)
     if torn is not None:
         os.truncate(path, torn)
-
-
-def _append_frame(path: Path, payload: bytes) -> None:
-    """Append one length-prefixed frame and make it durable before returning."""
-    with open(path, "ab") as fh:
-        fh.write(struct.pack(">I", len(payload)) + payload)
-        fh.flush()
-        os.fsync(fh.fileno())
 
 
 def _check_header(data: bytes, magic: bytes) -> None:
@@ -118,31 +114,66 @@ def replay_block_log(
     return state, torn
 
 
-class BlockLog:
-    """Writer side of the block log: trim-on-open, recover, append-with-sync."""
+class _Log:
+    """Writer side of a log: trim-on-open, then one unbuffered append-mode
+    file held open until close(), so each append is one write and one fsync."""
+
+    magic: bytes
 
     def __init__(self, path: Path | str):
         self.path = Path(path)
-        _open_log(self.path, BLOCK_LOG_MAGIC)
+        _open_log(self.path, self.magic)
+        self._file = open(self.path, "ab", buffering=0)
+        self._lock = threading.Lock()
+
+    def _append(self, payload: bytes) -> None:
+        """Append one length-prefixed frame and make it durable before
+        returning. The write holds the lock, so concurrent frames never
+        interleave; the fsync does not, so concurrent appends can share one
+        journal commit. A closed log raises OSError and writes nothing."""
+        frame = memoryview(struct.pack(">I", len(payload)) + payload)
+        try:
+            with self._lock:
+                while frame:
+                    frame = frame[self._file.write(frame):]
+            os.fsync(self._file.fileno())
+        except ValueError:  # I/O on a closed file
+            raise OSError(errno.EBADF, f"{self.path} is closed") from None
+
+    def close(self) -> None:
+        with self._lock:
+            self._file.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class BlockLog(_Log):
+    """The block log: trim-on-open, recover, append-with-sync."""
+
+    magic = BLOCK_LOG_MAGIC
 
     def recover(self, registry: Registry, now: int, genesis_time: int = 0) -> ChainState:
         """Replay the log, whose torn tail the open trimmed."""
         return replay_block_log(self.path, registry, now, strict=False, genesis_time=genesis_time)[0]
 
     def append(self, block: Block) -> None:
-        _append_frame(self.path, block_bytes(block))
+        self._append(block_bytes(block))
 
 
-class ReceiptLog:
-    def __init__(self, path: Path | str):
-        self.path = Path(path)
-        _open_log(self.path, RECEIPT_LOG_MAGIC)
+class ReceiptLog(_Log):
+    """The receipt log; checks on concurrent connections may append at once."""
+
+    magic = RECEIPT_LOG_MAGIC
 
     def append(self, receipt: VerificationReceipt) -> None:
-        _append_frame(self.path, receipt_frame_bytes(receipt))
+        self._append(receipt_frame_bytes(receipt))
 
     def read_all(self, registry: Registry) -> list[VerificationReceipt]:
-        frames, _ = read_frames(self.path.read_bytes(), RECEIPT_LOG_MAGIC, strict=False)
+        frames, _ = read_frames(self.path.read_bytes(), self.magic, strict=False)
         receipts = []
         for offset, payload in frames:
             try:

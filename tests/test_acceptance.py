@@ -276,10 +276,12 @@ def test_criterion_8_immutability_and_recovery(tmp_path, capsys):
         (n,) = struct.unpack_from(">I", pristine, pos)
         pos += 4 + n
     rng = Random(8)
-    for _ in range(25):
-        byte_pos = rng.randrange(5, len(pristine))
+    flips = [(rng.randrange(5, len(pristine)), 1 << rng.randrange(8)) for _ in range(25)]
+    # and one inside a record's method code, which then is no longer UTF-8
+    flips.append((pristine.index(c.method.code.encode(), offsets[5]), 0x80))
+    for byte_pos, mask in flips:
         mutated = bytearray(pristine)
-        mutated[byte_pos] ^= 1 << rng.randrange(8)
+        mutated[byte_pos] ^= mask
         (data_dir / "blocks.log").write_bytes(bytes(mutated))
         assert cli_main(["chain", "audit", "--data-dir", str(data_dir)]) == 2
         err = capsys.readouterr().err

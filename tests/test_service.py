@@ -229,6 +229,49 @@ def token_height(hsa, token):
     return hsa.state.header_index[token.header_hash]
 
 
+def test_stopped_member_writes_no_receipt_and_reopens_whole(net, capsys):
+    """After stop() the receipt log is closed: an append, direct or from a
+    handler still serving an open connection, raises OSError and writes
+    nothing, and the handler drops the connection without a traceback.
+    Reopening the data dir recovers the chain and every receipt."""
+    c, hsa, bm = net
+    doc = make_doc(7)
+    tested_at = int(time.time())
+    pending = thf_issue(c.thf_keys[0], doc, True, c.method, tested_at, now=tested_at, rng=Random(7))
+    with connect(hsa, c.thf_keys[0], c.registry) as client:
+        token = client.wait_for_token(client.submit_dhp(pending)[0])
+    assert wait_until(lambda: bm.state.height >= token_height(hsa, token))
+    path = bm.config.data_dir / "receipts.log"
+    with connect(bm, c.bm_keys[0], c.registry) as client:
+        receipts = [client.verify(token, doc, tested_at + 60 * i)[1] for i in range(3)]
+        chain, size = chain_bytes(bm.state), path.stat().st_size
+        bm.stop()
+        with pytest.raises(OSError):
+            bm._receipts.append(receipts[0])
+        with pytest.raises(OSError):
+            client.verify(token, doc, tested_at + 600)
+    assert path.stat().st_size == size
+    assert "Traceback" not in capsys.readouterr().err
+    reborn = BmNode(replace(bm.config, listen=("127.0.0.1", 0)))
+    try:
+        assert chain_bytes(reborn.state) == chain
+        assert reborn._receipts.read_all(c.registry) == receipts
+    finally:
+        reborn.stop()
+
+
+def test_stopped_authority_closes_its_block_log(net):
+    c, hsa, _ = net
+    with connect(hsa, c.thf_keys[0], c.registry) as client:
+        client.wait_for_token(client.submit_dhp(issue(c, 8))[0])
+    hsa.stop()
+    path = hsa.config.data_dir / "blocks.log"
+    size = path.stat().st_size
+    with pytest.raises(OSError):
+        hsa._log.append(hsa.state.blocks[-1])
+    assert path.stat().st_size == size
+
+
 def test_bm_verify_endpoint_mismatch_and_stale(net):
     c, hsa, bm = net
     doc = make_doc(7)

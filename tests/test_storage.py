@@ -1,10 +1,13 @@
+import builtins
+import os
 import struct
+import threading
 
 import pytest
 
 from dhp.core import EncodingError, Role
 from dhp.ledger import chain_bytes
-from dhp.protocol import bm_verify
+from dhp.protocol import bm_verify, receipt_frame_bytes
 from dhp.storage import (
     BlockLog,
     CorruptLog,
@@ -205,6 +208,62 @@ def test_receipt_log_read_ignores_a_torn_tail_without_writing(tmp_path, consorti
     torn = log.path.read_bytes()
     assert log.read_all(consortium.registry) == [receipt]
     assert log.path.read_bytes() == torn
+
+
+def make_receipts(consortium, n):
+    state, tokens, _ = issue_and_register(consortium, [make_doc(0)])
+    return [bm_verify(consortium.bm_keys[0], state, tokens[0], make_doc(0), POLICY, T0 + i)[1]
+            for i in range(n)]
+
+
+def test_receipt_log_append_is_one_write_and_one_fsync(tmp_path, consortium, monkeypatch):
+    """The log stays open: appends open no file, and each one is fsynced."""
+    (receipt,) = make_receipts(consortium, 1)
+    log = ReceiptLog(tmp_path / "receipts.log")
+    calls = {"open": 0, "fsync": 0}
+
+    def counting(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(builtins, "open", counting("open", builtins.open))
+    monkeypatch.setattr(os, "open", counting("open", os.open))
+    monkeypatch.setattr(os, "fsync", counting("fsync", os.fsync))
+    for _ in range(100):
+        log.append(receipt)
+    monkeypatch.undo()
+    assert calls == {"open": 0, "fsync": 100}
+    assert log.read_all(consortium.registry) == [receipt] * 100
+    log.close()
+
+
+def test_receipt_log_concurrent_appends_stay_whole(tmp_path, consortium):
+    receipts = make_receipts(consortium, 200)
+    path = tmp_path / "receipts.log"
+    with ReceiptLog(path) as log:
+        threads = [
+            threading.Thread(target=lambda part: [log.append(r) for r in part], args=(receipts[i::4],))
+            for i in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        read = log.read_all(consortium.registry)
+    frames = sorted(receipt_frame_bytes(r) for r in receipts)
+    assert sorted(receipt_frame_bytes(r) for r in read) == frames
+    assert path.stat().st_size == 5 + sum(4 + len(frame) for frame in frames)
+
+
+def test_receipt_log_reader_sees_an_open_writer_s_appends(tmp_path, consortium):
+    receipts = make_receipts(consortium, 3)
+    path = tmp_path / "receipts.log"
+    with ReceiptLog(path) as log:
+        for i, receipt in enumerate(receipts):
+            log.append(receipt)
+            assert ReceiptLog(path).read_all(consortium.registry) == receipts[:i + 1]
 
 
 def test_registry_text_round_trip(consortium):
