@@ -27,7 +27,7 @@ from .protocol import (
     pending_bytes,
     thf_issue,
 )
-from .service import NodeClient, build_node, parse_node_config
+from .service import NodeClient, build_node, parse_hostport, parse_node_config
 from .storage import (
     CorruptLog,
     ReceiptLog,
@@ -100,8 +100,7 @@ def cmd_thf_submit(args) -> int:
     thf = load_keypair(args.key)
     registry = load_registry(args.registry)
     pending = parse_pending(bytes.fromhex(args.pending), registry.issuers())
-    host, _, port = args.node.rpartition(":")
-    with NodeClient.connect(host, int(port), key=thf, registry=registry) as client:
+    with NodeClient.connect(*parse_hostport(args.node), key=thf, registry=registry) as client:
         commitment, duplicate = client.submit_dhp(pending)
         print(f"ack {commitment.hex()}{' (duplicate)' if duplicate else ''}")
         if args.wait:

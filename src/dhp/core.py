@@ -121,7 +121,7 @@ class Role(Enum):
     THF = 1       # testing health facility: tests people, signs credentials
     HSA = 2       # health service authority: the only block producer
     BM = 3        # read-only consortium member (airline, border control)
-    CITIZEN = 4   # traveller-side wallet key, never a consortium member
+    CITIZEN = 4   # traveller, never a consortium member
 
 
 @dataclass(frozen=True)

@@ -131,25 +131,3 @@ def commit(doc: TravelDocument, salt: Salt) -> Commitment:
     if not isinstance(salt.value, bytes) or len(salt.value) != SALT_LEN:
         raise EncodingError(f"salt must be {SALT_LEN} bytes")
     return hashlib.sha256(COMMIT_TAG + salt.value + canonical_doc_bytes(doc)).digest()
-
-
-def format_commit_vectors(rows: list[tuple[bytes, Salt, Commitment]]) -> str:
-    """Test-vector lines: `doc_hex salt_hex commitment_hex`, one per row."""
-    return "".join(f"{doc.hex()} {salt.value.hex()} {digest.hex()}\n" for doc, salt, digest in rows)
-
-
-def parse_commit_vectors(text: str) -> list[tuple[bytes, Salt, Commitment]]:
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(" ")
-        if len(parts) != 3:
-            raise EncodingError(f"vector line {lineno}: expected 3 hex fields")
-        try:
-            doc_hex, salt_hex, digest_hex = (bytes.fromhex(p) for p in parts)
-        except ValueError:
-            raise EncodingError(f"vector line {lineno}: bad hex") from None
-        rows.append((doc_hex, Salt(salt_hex), digest_hex))
-    return rows

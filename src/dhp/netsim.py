@@ -368,12 +368,12 @@ def check_theta_liveness(report: SimReport, theta: int) -> list[tuple[int, str, 
 
 def check_consistency(
     states: list[ChainState],
-    issued: list[tuple[DhpToken, TravelDocument]] | None = None,
-    policy: HygienePolicy | None = None,
-    at: int | None = None,
+    issued: list[tuple[DhpToken, TravelDocument]],
+    policy: HygienePolicy,
+    at: int,
 ) -> bool:
-    """True iff all nodes hold byte-identical chains and, when tokens are
-    supplied, every token verifies to the same outcome on every node.
+    """True iff all nodes hold byte-identical chains and every issued token
+    verifies to the same outcome on every node.
 
     Every node runs the receipt-free member checks; the first node's outcome
     is the reference.
@@ -383,11 +383,10 @@ def check_consistency(
     reference = chain_bytes(states[0])
     if any(chain_bytes(s) != reference for s in states[1:]):
         return False
-    if issued and policy is not None and at is not None:
-        for token, doc in issued:
-            outcome = check_credential(states[0], token, doc, policy, at)
-            if any(check_credential(s, token, doc, policy, at) != outcome for s in states[1:]):
-                return False
+    for token, doc in issued:
+        outcome = check_credential(states[0], token, doc, policy, at)
+        if any(check_credential(s, token, doc, policy, at) != outcome for s in states[1:]):
+            return False
     return True
 
 

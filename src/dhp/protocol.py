@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from random import Random
 
@@ -33,7 +33,7 @@ from .core import (
     dhp_signing_bytes,
     parse_key_values,
 )
-from .crypto import KeyPair, Salt, commit, keygen, new_salt, sign, verify_sig
+from .crypto import KeyPair, Salt, commit, new_salt, sign, verify_sig
 from .ledger import (
     BlockError,
     ChainState,
@@ -91,10 +91,9 @@ class ViolationReason(Enum):
 
 @dataclass
 class CitizenWallet:
-    """Traveller-side state: the document, a wallet key, and earned tokens."""
+    """Traveller-side state: the document and earned tokens."""
 
     doc: TravelDocument
-    wallet_key: KeyPair
     tokens: list[DhpToken] = field(default_factory=list)
 
 
@@ -131,9 +130,9 @@ class VerificationReceipt:
 
 
 def register_citizen(doc: TravelDocument) -> CitizenWallet:
-    """Create a wallet for a valid document: fresh key pair, no tokens yet."""
+    """Create a wallet for a valid document, with no tokens yet."""
     canonical_doc_bytes(doc)  # raises InvalidDocument on bad fields
-    return CitizenWallet(doc=doc, wallet_key=keygen(Role.CITIZEN))
+    return CitizenWallet(doc=doc)
 
 
 def thf_issue(
@@ -209,21 +208,16 @@ def check_policy(dhp: HealthPassport, policy: HygienePolicy, at: int) -> Violati
     return None
 
 
-def receipt_signing_bytes(
-    bm_id: ActorId,
-    token_header_hash: bytes,
-    record_index: int,
-    outcome_status: OutcomeStatus,
-    checked_at: int,
-) -> bytes:
+def receipt_signing_bytes(receipt: VerificationReceipt) -> bytes:
+    """Canonical receipt preimage, excluding the member signature."""
     return b"".join(
         (
             RECEIPT_TAG,
-            bm_id.id,
-            token_header_hash,
-            struct.pack(">I", record_index),
-            bytes((outcome_status.value,)),
-            struct.pack(">Q", checked_at),
+            receipt.bm_id.id,
+            receipt.token_header_hash,
+            struct.pack(">I", receipt.record_index),
+            bytes((receipt.outcome_status.value,)),
+            struct.pack(">Q", receipt.checked_at),
         )
     )
 
@@ -283,17 +277,15 @@ def bm_verify(
     if bm.owner.role is not Role.BM:
         raise NotABlockchainMember(f"{bm.owner.label()} is not a read-only member")
     outcome = check_credential(state, token, doc, policy, at)
-    status = outcome.status
-    preimage = receipt_signing_bytes(bm.owner, token.header_hash, token.record_index, status, at)
     receipt = VerificationReceipt(
         bm_id=bm.owner,
         token_header_hash=token.header_hash,
         record_index=token.record_index,
-        outcome_status=status,
+        outcome_status=outcome.status,
         checked_at=at,
-        bm_signature=sign(bm, preimage),
+        bm_signature=b"",
     )
-    return outcome, receipt
+    return outcome, replace(receipt, bm_signature=sign(bm, receipt_signing_bytes(receipt)))
 
 
 def audit_manifest(
@@ -312,14 +304,7 @@ def audit_manifest(
         member = registry.get(Role.BM, receipt.bm_id.id)
         if member is None:
             raise BadReceiptSignature(i)
-        preimage = receipt_signing_bytes(
-            receipt.bm_id,
-            receipt.token_header_hash,
-            receipt.record_index,
-            receipt.outcome_status,
-            receipt.checked_at,
-        )
-        if not verify_sig(member.public_key, preimage, receipt.bm_signature):
+        if not verify_sig(member.public_key, receipt_signing_bytes(receipt), receipt.bm_signature):
             raise BadReceiptSignature(i)
         covered.add((receipt.token_header_hash, receipt.record_index))
     return [entry for entry in manifest if entry not in covered]
@@ -343,14 +328,9 @@ def parse_pending(data: bytes, issuers: dict[bytes, ActorId]) -> PendingDhp:
 
 
 def receipt_frame_bytes(receipt: VerificationReceipt) -> bytes:
-    preimage = receipt_signing_bytes(
-        receipt.bm_id,
-        receipt.token_header_hash,
-        receipt.record_index,
-        receipt.outcome_status,
-        receipt.checked_at,
-    )
-    return preimage[len(RECEIPT_TAG):] + struct.pack(">H", len(receipt.bm_signature)) + receipt.bm_signature
+    """Receipt frame: the preimage without its tag, then the u16-length-prefixed signature."""
+    signature = receipt.bm_signature
+    return receipt_signing_bytes(receipt)[len(RECEIPT_TAG):] + struct.pack(">H", len(signature)) + signature
 
 
 def read_receipt(r: Reader, registry: Registry) -> VerificationReceipt:
@@ -400,11 +380,3 @@ def parse_policy(text: str) -> HygienePolicy:
         )
     except ValueError as exc:
         raise EncodingError(str(exc)) from None
-
-
-def format_policy(policy: HygienePolicy) -> str:
-    return (
-        f"accepted_methods = {','.join(sorted(policy.accepted_methods))}\n"
-        f"max_test_age_hours = {policy.max_test_age}\n"
-        f"require_risk_free = {'true' if policy.require_risk_free else 'false'}\n"
-    )

@@ -99,6 +99,8 @@ from .storage import BlockLog, ReceiptLog, load_keypair, load_registry, save_reg
 
 AUTH_TAG = b"DHPA1|"
 MAX_FRAME = 4 * 1024 * 1024
+#: Pending credentials an authority holds; a submit past it is refused.
+MAX_MEMPOOL = 4 * MAX_BLOCK_RECORDS
 
 MSG_CHALLENGE = 0x01
 MSG_AUTH = 0x02
@@ -167,7 +169,7 @@ class NodeConfig:
     genesis_time: int = 0
 
 
-def _parse_hostport(text: str) -> tuple[str, int]:
+def parse_hostport(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     if not host or not port.isdigit():
         raise EncodingError(f"bad address {text!r}, expected host:port")
@@ -184,7 +186,7 @@ def parse_node_config(text: str, base_dir: Path | None = None) -> NodeConfig:
 
     try:
         role = Role[values["role"].upper()]
-        listen = _parse_hostport(values["listen"])
+        listen = parse_hostport(values["listen"])
         data_dir = path_of(os.environ.get("DHP_DATA_DIR", values["data_dir"]))
         registry_file = path_of(values["registry"])
         key_file = path_of(values["key"])
@@ -193,7 +195,7 @@ def parse_node_config(text: str, base_dir: Path | None = None) -> NodeConfig:
     if role not in (Role.HSA, Role.BM):
         raise EncodingError("node role must be hsa or bm")
     peers = [
-        _parse_hostport(p.strip())
+        parse_hostport(p.strip())
         for p in values.get("peers", "").split(",")
         if p.strip()
     ]
@@ -400,6 +402,10 @@ class HsaNode(Node):
         super().__init__(config)
         self._mempool: dict[bytes, PendingDhp] = {}
         self._tokens: dict[bytes, DhpToken] = {}
+        # Peers known to hold the block this node last announced. None after a
+        # start, which may follow a crash between logging a block and
+        # announcing it. Written by the proposing thread only.
+        self._acked: set[tuple[str, int]] = set()
 
     def start(self) -> None:
         super().start()
@@ -424,6 +430,8 @@ class HsaNode(Node):
         with self._lock:
             duplicate = commitment in self._mempool or commitment in self._tokens or commitment in self._state.index
             if not duplicate:
+                if len(self._mempool) >= MAX_MEMPOOL:
+                    return _error(ERR_REJECTED, "mempool full")
                 self._mempool[commitment] = pending
         return bytes((MSG_SUBMIT_ACK,)) + commitment + bytes((1 if duplicate else 0,))
 
@@ -441,9 +449,19 @@ class HsaNode(Node):
     def _propose_loop(self) -> None:
         while not self._stop.wait(self.config.block_interval):
             try:
-                self.propose_once()
+                if self.propose_once() is None:
+                    self._reannounce()
             except (DhpError, OSError):
                 continue
+
+    def _reannounce(self) -> None:
+        """Send the tip to each peer not known to hold the block last
+        announced, so a peer that missed it (perhaps the next scheduled
+        authority, which would wait for it forever) catches up."""
+        state = self._state
+        lagging = [peer for peer in self.config.peers if peer not in self._acked]
+        if state.height and lagging:
+            self._acked |= self._announce(state.tip, lagging)
 
     def propose_once(self) -> Block | None:
         """Propose one block if scheduled and there is work. Returns it."""
@@ -454,7 +472,7 @@ class HsaNode(Node):
             batch = [p.record for p in itertools.islice(self._mempool.values(), MAX_BLOCK_RECORDS)]
             block = propose_block(self._state, batch, self.key, int(time.time()))
             self._apply_block(block)
-        self._announce(block)
+        self._acked = self._announce(block, self.config.peers)
         return block
 
     def _apply_block(self, block: Block) -> bool:
@@ -470,20 +488,26 @@ class HsaNode(Node):
                         self._tokens[record.commitment] = DhpToken(block_hash, pos, pending.salt)
         return held
 
-    def _announce(self, block: Block) -> None:
-        """Send the block to each peer. One that refuses it is sent the blocks
-        after its head, in order, up to this one or the first refusal."""
-        for peer in self.config.peers:
+    def _announce(self, block: Block, peers: list[tuple[str, int]]) -> set[tuple[str, int]]:
+        """Send the block to each of peers. One that refuses it is sent the
+        blocks after its head, in order, up to this one or the first refusal.
+        Returns the peers that hold this block."""
+        acked = set()
+        for peer in peers:
             try:
                 with NodeClient.connect(*peer, key=self.key, registry=self.registry) as client:
-                    if client.announce_block(block):
-                        continue
-                    head = client.get_head()
-                    for missing in self._state.blocks[head.height + 1 : block.header.height + 1]:
-                        if not client.announce_block(missing):
-                            break
+                    held = client.announce_block(block)
+                    if not held:
+                        head = client.get_head()
+                        for missing in self._state.blocks[head.height + 1 : block.header.height + 1]:
+                            held = client.announce_block(missing)
+                            if not held:
+                                break
+                if held:
+                    acked.add(peer)
             except (OSError, DhpError):
                 continue
+        return acked
 
 
 class BmNode(Node):

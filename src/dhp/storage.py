@@ -8,7 +8,9 @@ offending frame.
 Receipt log: magic "DHPR" + u8 version + length-prefixed receipt frames.
 A writer opening either log trims a torn final frame (truncated write) back
 to the last good boundary, then holds the log open until close(): each
-append is one write of the whole frame and one fsync. Readers ignore a torn
+append is one write of the whole frame and one fsync. A write that fails
+part-way is truncated back to the frame's start before the error is raised,
+so the next append still lands on a frame boundary. Readers ignore a torn
 frame.
 Registry file: one member per line, `ROLE hex_id hex_pubkey`.
 Key file: a single `ROLE hex_id hex_seed` line; public key and id re-derive
@@ -130,12 +132,18 @@ class _Log:
         """Append one length-prefixed frame and make it durable before
         returning. The write holds the lock, so concurrent frames never
         interleave; the fsync does not, so concurrent appends can share one
-        journal commit. A closed log raises OSError and writes nothing."""
+        journal commit. A closed log raises OSError and writes nothing; a
+        failed write is cut back off the log before the OSError propagates."""
         frame = memoryview(struct.pack(">I", len(payload)) + payload)
         try:
             with self._lock:
-                while frame:
-                    frame = frame[self._file.write(frame):]
+                written = 0
+                try:
+                    while written < len(frame):
+                        written += self._file.write(frame[written:])
+                except OSError:
+                    self._file.truncate(self._file.seek(0, os.SEEK_END) - written)
+                    raise
             os.fsync(self._file.fileno())
         except ValueError:  # I/O on a closed file
             raise OSError(errno.EBADF, f"{self.path} is closed") from None
@@ -278,7 +286,3 @@ def parse_manifest(text: str) -> list[tuple[bytes, int]]:
         except ValueError:
             raise EncodingError(f"manifest line {lineno}: bad field") from None
     return entries
-
-
-def format_manifest(entries: list[tuple[bytes, int]]) -> str:
-    return "".join(f"{h.hex()} {i}\n" for h, i in entries)

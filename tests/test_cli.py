@@ -7,7 +7,7 @@ from dhp.cli import main
 from dhp.core import Role
 from dhp.crypto import keygen
 from dhp.ledger import header_hash, token_bytes
-from dhp.protocol import bm_verify, format_policy, parse_pending, thf_issue
+from dhp.protocol import bm_verify, parse_pending, pending_bytes, thf_issue
 from dhp.storage import (
     BlockLog,
     ReceiptLog,
@@ -18,7 +18,7 @@ from dhp.storage import (
 )
 
 from conftest import Consortium, make_doc
-from test_protocol import POLICY, issue_and_register
+from test_protocol import POLICY, POLICY_TEXT, issue_and_register
 from test_ledger import grow_chain
 
 T0 = 1_700_000_000
@@ -141,7 +141,7 @@ def test_bm_verify_cli_happy_and_stale(tmp_path, capsys):
     save_registry(data_dir / "registry.txt", c.registry)
     write_genesis_time(data_dir, c.genesis_time)
     policy_path = tmp_path / "policy.txt"
-    policy_path.write_text(format_policy(POLICY))
+    policy_path.write_text(POLICY_TEXT)
     key_path = tmp_path / "bm.key"
     save_keypair(key_path, c.bm_keys[0])
 
@@ -314,3 +314,16 @@ def test_cli_reports_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "registry", "list", "--registry", str(tmp_path / "nope.txt"))
     assert code == 1
     assert "error" in err
+
+
+def test_thf_submit_cli_rejects_a_bad_node_address(tmp_path, capsys):
+    c = Consortium()
+    save_registry(tmp_path / "registry.txt", c.registry)
+    save_keypair(tmp_path / "thf.key", c.thf_keys[0])
+    pending = thf_issue(c.thf_keys[0], make_doc(1), True, c.method, T0, now=T0)
+    code, _, err = run_cli(
+        capsys, "thf", "submit", "--key", str(tmp_path / "thf.key"), "--node", "127.0.0.1:nope",
+        "--pending", pending_bytes(pending).hex(), "--registry", str(tmp_path / "registry.txt"),
+    )
+    assert code == 1
+    assert "bad address '127.0.0.1:nope', expected host:port" in err

@@ -9,10 +9,8 @@ from dhp.core import EncodingError, InvalidDocument, Role, TravelDocument, canon
 from dhp.crypto import (
     Salt,
     commit,
-    format_commit_vectors,
     keygen,
     new_salt,
-    parse_commit_vectors,
     sign,
     verify_sig,
 )
@@ -155,21 +153,3 @@ def test_commit_rejects_invalid_inputs():
         commit(TravelDocument("x", "GRC", date(2030, 1, 1)), GOLDEN_SALT)
     with pytest.raises(EncodingError):
         commit(GOLDEN_DOC, Salt(b"\x00" * 15))
-
-
-def test_vector_file_round_trip():
-    rows = [
-        (canonical_doc_bytes(GOLDEN_DOC), GOLDEN_SALT, GOLDEN_COMMIT),
-        (canonical_doc_bytes(GOLDEN2_DOC), GOLDEN2_SALT, GOLDEN2_COMMIT),
-    ]
-    text = format_commit_vectors(rows)
-    assert parse_commit_vectors(text) == rows
-    for doc_bytes, salt, digest in parse_commit_vectors(text):
-        assert hashlib.sha256(b"DHPC1|" + salt.value + doc_bytes).digest() == digest
-
-
-def test_vector_file_rejects_garbage():
-    with pytest.raises(EncodingError):
-        parse_commit_vectors("only two fields\n")
-    with pytest.raises(EncodingError):
-        parse_commit_vectors("zz zz zz\n")

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from dhp.core import Role
-from dhp.protocol import OutcomeStatus, format_policy, hsa_register, parse_receipt_frame, receipt_frame_bytes, thf_issue
+from dhp.protocol import OutcomeStatus, hsa_register, parse_receipt_frame, receipt_frame_bytes, thf_issue
 from dhp.service import (
     ERR_NOT_FOUND,
     BmNode,
@@ -30,7 +30,7 @@ from dhp.service import (
 from dhp.storage import save_keypair, save_registry
 
 from conftest import Consortium, make_doc
-from test_protocol import HOUR, POLICY, T0
+from test_protocol import HOUR, POLICY_TEXT, T0
 
 NONCE = bytes(range(32))
 
@@ -101,7 +101,7 @@ def build_wire(tmp_path):
     announced to hsa-0 and to the member, and checked there."""
     c = Consortium()
     save_registry(tmp_path / "registry.txt", c.registry)
-    (tmp_path / "policy.txt").write_text(format_policy(POLICY))
+    (tmp_path / "policy.txt").write_text(POLICY_TEXT)
     hsa = HsaNode(node_config(tmp_path, c, Role.HSA, c.hsa_keys[0], "hsa0"))
     bm = BmNode(node_config(tmp_path, c, Role.BM, c.bm_keys[0], "bm0"))
     pending = thf_issue(c.thf_keys[0], make_doc(1), True, c.method, T0, now=T0, rng=Random(1))

@@ -206,8 +206,8 @@ def test_check_consistency_detects_divergence(consortium):
 
     a = grow_chain(Consortium(), 3)
     b = grow_chain(Consortium(), 4)
-    assert check_consistency([a, a])
-    assert not check_consistency([a, b])
+    assert check_consistency([a, a], [], POLICY, T0)
+    assert not check_consistency([a, b], [], POLICY, T0)
 
     # Byte-equal chains, but one replica cannot find a block by its hash:
     # only verifying the tokens on every replica shows it.

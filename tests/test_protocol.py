@@ -28,7 +28,6 @@ from dhp.protocol import (
     bm_verify,
     check_credential,
     check_policy,
-    format_policy,
     hsa_register,
     parse_pending,
     parse_policy,
@@ -45,7 +44,8 @@ from datetime import date
 
 T0 = 1_700_000_000
 HOUR = 3600
-POLICY = HygienePolicy(frozenset({"RT-qPCR"}), max_test_age=72)
+POLICY_TEXT = "accepted_methods = RT-qPCR\nmax_test_age_hours = 72\nrequire_risk_free = true\n"
+POLICY = parse_policy(POLICY_TEXT)
 
 
 def issue_for(c, doc, i=0, tested_at=T0 + 60, thf=0, result=True):
@@ -65,13 +65,6 @@ def test_register_citizen_empty_wallet():
     wallet = register_citizen(make_doc(1))
     assert wallet.tokens == []
     assert wallet.doc == make_doc(1)
-    assert wallet.wallet_key.owner.role is Role.CITIZEN
-
-
-def test_register_citizen_fresh_keys():
-    a = register_citizen(make_doc(1))
-    b = register_citizen(make_doc(1))
-    assert a.wallet_key.public != b.wallet_key.public
 
 
 def test_register_citizen_invalid_document():
@@ -215,11 +208,7 @@ def test_bm_verify_happy_path(consortium):
     assert outcome.violation_reason is None
     assert outcome.dhp_location == (1, 0)
     assert receipt.outcome_status is OutcomeStatus.VALID
-    preimage = receipt_signing_bytes(
-        receipt.bm_id, receipt.token_header_hash, receipt.record_index,
-        receipt.outcome_status, receipt.checked_at,
-    )
-    assert verify_sig(consortium.bm_keys[0].public, preimage, receipt.bm_signature)
+    assert verify_sig(consortium.bm_keys[0].public, receipt_signing_bytes(receipt), receipt.bm_signature)
 
 
 def test_bm_verify_non_transferable(consortium):
@@ -412,11 +401,7 @@ def test_audit_manifest_detects_forged_receipt(consortium):
     state, tokens, _ = issue_and_register(consortium, docs)
     receipts = collect_receipts(consortium, state, tokens, docs)
     outsider = seeded_key(Role.THF, "forger")
-    forged_preimage = receipt_signing_bytes(
-        receipts[1].bm_id, receipts[1].token_header_hash, receipts[1].record_index,
-        receipts[1].outcome_status, receipts[1].checked_at,
-    )
-    forged = replace(receipts[1], bm_signature=sign(outsider, forged_preimage))
+    forged = replace(receipts[1], bm_signature=sign(outsider, receipt_signing_bytes(receipts[1])))
     manifest = [(t.header_hash, t.record_index) for t in tokens]
     with pytest.raises(BadReceiptSignature) as err:
         audit_manifest([receipts[0], forged], manifest, consortium.registry)
@@ -427,19 +412,17 @@ def test_audit_manifest_registry_rejects_unregistered_member(consortium):
     docs = [make_doc(0)]
     state, tokens, _ = issue_and_register(consortium, docs)
     rogue_bm = seeded_key(Role.BM, "rogue")
-    preimage = receipt_signing_bytes(
-        rogue_bm.owner, tokens[0].header_hash, tokens[0].record_index, OutcomeStatus.VALID, T0
-    )
     from dhp.protocol import VerificationReceipt
 
-    rogue_receipt = VerificationReceipt(
+    unsigned = VerificationReceipt(
         bm_id=rogue_bm.owner,
         token_header_hash=tokens[0].header_hash,
         record_index=tokens[0].record_index,
         outcome_status=OutcomeStatus.VALID,
         checked_at=T0,
-        bm_signature=sign(rogue_bm, preimage),
+        bm_signature=b"",
     )
+    rogue_receipt = replace(unsigned, bm_signature=sign(rogue_bm, receipt_signing_bytes(unsigned)))
     manifest = [(tokens[0].header_hash, tokens[0].record_index)]
     with pytest.raises(BadReceiptSignature):
         audit_manifest([rogue_receipt], manifest, consortium.registry)
@@ -466,8 +449,7 @@ def test_pending_frame_round_trip(consortium):
 
 
 def test_policy_text_round_trip():
-    text = format_policy(POLICY)
-    assert parse_policy(text) == POLICY
+    assert POLICY == HygienePolicy(frozenset({"RT-qPCR"}), max_test_age=72, require_risk_free=True)
 
 
 def test_policy_parse_defaults_and_comments():

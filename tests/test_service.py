@@ -22,7 +22,7 @@ from dhp.ledger import (
     scheduled_authority,
     token_bytes,
 )
-from dhp.protocol import OutcomeStatus, ViolationReason, format_policy, thf_issue
+from dhp.protocol import OutcomeStatus, ViolationReason, thf_issue
 from dhp.service import (
     ERR_MALFORMED,
     ERR_NOT_FOUND,
@@ -49,7 +49,7 @@ from dhp.service import (
 from dhp.storage import ReceiptLog, replay_block_log, save_keypair, save_registry
 
 from conftest import Consortium, make_doc, seeded_key
-from test_protocol import POLICY
+from test_protocol import POLICY_TEXT
 
 
 @pytest.fixture
@@ -59,7 +59,7 @@ def net(tmp_path):
     registry_path = tmp_path / "registry.txt"
     save_registry(registry_path, c.registry)
     policy_path = tmp_path / "policy.txt"
-    policy_path.write_text(format_policy(POLICY))
+    policy_path.write_text(POLICY_TEXT)
 
     def key_file(key, name):
         path = tmp_path / name
@@ -386,10 +386,10 @@ def test_two_authorities_alternate_over_sockets(tmp_path):
             node.stop()
 
 
-def parked_authorities(tmp_path, num_hsa):
-    """Every authority of a registry, started and each the others' peer,
-    whose timers never cut a block: blocks are made by calling
-    propose_once()."""
+def parked_authorities(tmp_path, num_hsa, block_interval=3600):
+    """Every authority of a registry, started and each the others' peer.
+    With the default interval their timers never cut a block: blocks are
+    made by calling propose_once()."""
     c = Consortium(num_hsa=num_hsa, num_thf=1, num_bm=0, genesis_time=0)
     save_registry(tmp_path / "registry.txt", c.registry)
     nodes = []
@@ -401,7 +401,7 @@ def parked_authorities(tmp_path, num_hsa):
             data_dir=tmp_path / f"hsa{i}",
             registry_file=tmp_path / "registry.txt",
             key_file=tmp_path / f"hsa{i}.key",
-            block_interval=3600,
+            block_interval=block_interval,
         ))
         node.start()
         nodes.append(node)
@@ -445,6 +445,48 @@ def test_submit_refuses_a_credential_tested_in_the_future(solo):
         assert block.header.height == 1
         assert [r.commitment for r in block.records] == [ack]
         assert client.get_token(ack) is not None
+
+
+def test_submit_past_the_mempool_bound_is_refused(solo, monkeypatch):
+    """A full mempool refuses new credentials, still acks one it holds as a
+    duplicate, and takes new ones again once a block has drained it."""
+    c, hsa = solo
+    monkeypatch.setattr("dhp.service.MAX_MEMPOOL", 2)
+    first, second, third = (issue(c, i) for i in (75, 76, 77))
+    with connect(hsa, c.thf_keys[0], c.registry) as client:
+        client.submit_dhp(first)
+        client.submit_dhp(second)
+        with pytest.raises(ServiceError) as err:
+            client.submit_dhp(third)
+        assert err.value.code == ERR_REJECTED
+        assert client.submit_dhp(first) == (first.record.commitment, True)
+        assert len(hsa.propose_once().records) == 2
+        assert client.submit_dhp(third) == (third.record.commitment, False)
+    assert list(hsa._mempool) == [third.record.commitment]
+
+
+def test_an_authority_that_missed_a_block_gets_it_before_its_turn(tmp_path):
+    """The authority scheduled for height 1 cuts block 1 while it has no
+    peers, so the other, scheduled for height 2, never hears of it. Once the
+    link is back the first sends its tip again unprompted, and a credential
+    submitted to each authority settles."""
+    c, nodes = parked_authorities(tmp_path, 2, block_interval=0.02)
+    try:
+        scheduled = scheduled_authority(1, nodes[0].state.authority_set)
+        first, second = sorted(nodes, key=lambda n: n.key.owner.id != scheduled.id)
+        peers, first.config.peers = first.config.peers, []
+        with connect(first, c.thf_keys[0], c.registry) as client:
+            client.wait_for_token(client.submit_dhp(issue(c, 60))[0])
+        assert (first.state.height, second.state.height) == (1, 0)
+        first.config.peers = peers
+        for node, i in ((second, 61), (first, 62)):
+            with connect(node, c.thf_keys[0], c.registry) as client:
+                client.wait_for_token(client.submit_dhp(issue(c, i))[0])
+        assert wait_until(lambda: first.state.height == second.state.height == 3)
+        assert chain_bytes(first.state) == chain_bytes(second.state)
+    finally:
+        for node in nodes:
+            node.stop()
 
 
 def test_propose_once_logs_before_it_publishes(solo, monkeypatch):
@@ -582,7 +624,7 @@ def test_orphan_that_fails_keeps_disk_and_memory_in_step(tmp_path):
     c = Consortium(num_hsa=1, num_thf=1, num_bm=1, genesis_time=0)
     save_registry(tmp_path / "registry.txt", c.registry)
     save_keypair(tmp_path / "bm0.key", c.bm_keys[0])
-    (tmp_path / "policy.txt").write_text(format_policy(POLICY))
+    (tmp_path / "policy.txt").write_text(POLICY_TEXT)
     config = NodeConfig(
         role=Role.BM,
         listen=("127.0.0.1", 0),
@@ -665,23 +707,25 @@ def test_forged_blocks_above_the_tip_are_refused_and_kept_nowhere(net):
 
 
 def test_member_that_missed_an_announce_catches_up_on_the_next(net, monkeypatch):
-    """Block 1 is made while the member is not a peer; announcing block 2
-    is refused, so the authority sends the member blocks 1 and 2."""
+    """Blocks 1 and 2 are made while the member is not a peer; the next
+    announce to it is refused, so the authority sends it the blocks it lacks."""
     c, hsa, bm = net
-    announced = threading.Event()
+    announced = threading.Semaphore(0)
     announce = hsa._announce
 
-    def announce_then_signal(block):
-        announce(block)
-        announced.set()
+    def announce_then_signal(block, peers):
+        acked = announce(block, peers)
+        announced.release()
+        return acked
 
     monkeypatch.setattr(hsa, "_announce", announce_then_signal)
     hsa.config.peers = []
     with connect(hsa, c.thf_keys[0], c.registry) as client:
-        client.wait_for_token(client.submit_dhp(issue(c, 83))[0])
-        assert announced.wait(5)  # block 1 went to no one
+        for i in (83, 84):
+            client.wait_for_token(client.submit_dhp(issue(c, i))[0])
+            assert announced.acquire(timeout=5)  # the block went to no one
         hsa.config.peers = [bm.address]
-        for i in (84, 85, 86):
+        for i in (85, 86):
             client.wait_for_token(client.submit_dhp(issue(c, i))[0])
     assert hsa.state.height == 4
     assert wait_until(lambda: bm.state.height == 4)

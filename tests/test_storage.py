@@ -1,5 +1,7 @@
 import builtins
 import os
+import resource
+import signal
 import struct
 import threading
 
@@ -12,7 +14,6 @@ from dhp.storage import (
     BlockLog,
     CorruptLog,
     ReceiptLog,
-    format_manifest,
     load_keypair,
     load_registry,
     parse_manifest,
@@ -266,6 +267,29 @@ def test_receipt_log_reader_sees_an_open_writer_s_appends(tmp_path, consortium):
             assert ReceiptLog(path).read_all(consortium.registry) == receipts[:i + 1]
 
 
+def test_a_write_that_fails_part_way_is_cut_off_the_log(tmp_path, consortium):
+    """A file-size limit just past one frame stops the second append after
+    50 of its bytes: the append raises, the log is back at one frame, and the
+    next append lands on a frame boundary, so the log reads back whole."""
+    first, second, third = make_receipts(consortium, 3)
+    path = tmp_path / "receipts.log"
+    with ReceiptLog(path) as log:
+        log.append(first)
+        size = path.stat().st_size
+        soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        try:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (size + 50, hard))
+            with pytest.raises(OSError):
+                log.append(second)
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+            signal.signal(signal.SIGXFSZ, handler)
+        assert path.stat().st_size == size
+        log.append(third)
+        assert log.read_all(consortium.registry) == [first, third]
+
+
 def test_registry_text_round_trip(consortium):
     text = format_registry(consortium.registry)
     assert parse_registry(text) == consortium.registry
@@ -310,8 +334,8 @@ def test_keypair_file_tamper_detected(tmp_path):
 
 
 def test_manifest_round_trip():
-    entries = [(b"\x01" * 32, 0), (b"\x02" * 32, 7)]
-    assert parse_manifest(format_manifest(entries)) == entries
+    text = f"# manifest\n{'01' * 32} 0\n\n  {'02' * 32}  7\n"
+    assert parse_manifest(text) == [(b"\x01" * 32, 0), (b"\x02" * 32, 7)]
     with pytest.raises(EncodingError):
         parse_manifest("onlyonefield\n")
     with pytest.raises(EncodingError):

@@ -9,8 +9,8 @@ alternating pairs (pair i uses seed i; the side that runs first swaps every
 pair), and one traced run per side. Writes one JSON file: per workload and
 end-to-end metric of BENCHMARK.json, the parent and change medians and
 quartiles, every run's value and how many pairs the change won; the traced
-per-layer figures; and the commits, host, Python and `cryptography`
-versions. Nothing under perfbench/ is changed; exits 1 if any run was
+per-layer figures; the line count of src/**/*.py on each side; and the
+commits, host, Python and `cryptography` versions. Nothing under perfbench/ is changed; exits 1 if any run was
 incorrect or did not finish.
 """
 
@@ -42,6 +42,11 @@ def export(rev: str, dest: Path) -> None:
                              capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
+
+
+def source_lines(checkout: Path) -> int:
+    """Lines in the checkout's src/**/*.py."""
+    return sum(len(path.read_bytes().splitlines()) for path in (checkout / "src").rglob("*.py"))
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -111,6 +116,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         export(args.parent, Path(tmp))
         sides = {"parent": Path(tmp), "change": ROOT}
+        src_lines = {side: source_lines(path) for side, path in sides.items()}
         workloads = {
             w: bench_workload(sides, w, args, manifest["end_to_end"]) for w in args.workloads.split(",")
         }
@@ -123,6 +129,7 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": args.pairs,
         "seconds": args.seconds,
         "seeds": list(range(1, args.pairs + 1)),
+        "src_lines": src_lines,
         "workloads": workloads,
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
