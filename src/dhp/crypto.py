@@ -5,10 +5,20 @@ and platforms. The commitment is a domain-tagged SHA-256 over a fresh 16-byte
 salt and the canonical document bytes: hiding without the salt, binding to
 (salt, document). The salt travels only inside the traveller's token, which is
 what keeps on-chain records unlinkable and unexplorable.
+
+Signing runs on `cryptography` (OpenSSL). Verification runs libsodium first
+where the library is installed, at about half OpenSSL's cost, and takes only
+its acceptances. libsodium checks the same cofactorless equation and also
+refuses small-order and non-canonical points, so what it accepts OpenSSL
+accepts too; OpenSSL decides every rejection, and a host with libsodium and
+one without return the same verdicts. A libsodium older than 1.0.18, or one
+that takes a signature whose S is not reduced, is not used.
 """
 
 from __future__ import annotations
 
+import ctypes
+import ctypes.util
 import hashlib
 import secrets
 from dataclasses import dataclass, field
@@ -25,6 +35,7 @@ COMMIT_TAG = b"DHPC1|"
 ACTOR_ID_TAG = b"DHPID|"
 SALT_LEN = 16
 SEED_LEN = 32
+PUBLIC_KEY_LEN = 32
 SIGNATURE_LEN = 64
 
 #: A commitment is a raw 32-byte digest.
@@ -112,12 +123,67 @@ def verify_sig(public: bytes, message: bytes, signature: bytes) -> bool:
     return _verify_cached(public, message, signature)
 
 
+# RFC 8032 test 1 (empty message), for the check _bind_sodium makes.
+_RFC8032_PUBLIC = bytes.fromhex("d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a")
+_RFC8032_SIGNATURE = bytes.fromhex(
+    "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e06522490155"
+    "5fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b"
+)
+_ED25519_L = 2**252 + 27742317777372353535851937790883648493
+
+
+def _bind_sodium():
+    """libsodium's detached Ed25519 verify, or None where it cannot be loaded
+    or might accept what OpenSSL refuses.
+
+    The argument that libsodium accepts a subset of what OpenSSL accepts
+    holds from 1.0.18 on. Older builds, and builds made with ED25519_COMPAT,
+    check only the top bits of S, so the binding is also used only if it takes
+    the RFC 8032 signature and refuses it with L added to S, as OpenSSL does.
+    """
+    name = ctypes.util.find_library("sodium")
+    if name is None:
+        return None
+    try:
+        lib = ctypes.CDLL(name)
+        lib.sodium_version_string.restype = ctypes.c_char_p
+        version = tuple(int(n) for n in lib.sodium_version_string().split(b".")[:3])
+        if version < (1, 0, 18) or lib.sodium_init() < 0:
+            return None
+        verify = lib.crypto_sign_ed25519_verify_detached
+    except (OSError, AttributeError, ValueError):
+        return None
+    # (sig[64], m, mlen, pk[32]) -> 0 iff valid.
+    verify.argtypes = (ctypes.c_char_p, ctypes.c_char_p, ctypes.c_ulonglong, ctypes.c_char_p)
+    verify.restype = ctypes.c_int
+    r, s = _RFC8032_SIGNATURE[:32], int.from_bytes(_RFC8032_SIGNATURE[32:], "little")
+    malleated = r + (s + _ED25519_L).to_bytes(32, "little")
+    if verify(_RFC8032_SIGNATURE, b"", 0, _RFC8032_PUBLIC) != 0 or verify(malleated, b"", 0, _RFC8032_PUBLIC) == 0:
+        return None
+    return verify
+
+
+_sodium_verify = _bind_sodium()
+
+
 # Verification is pure, so it is memoised for the three places that check a
 # signature again: repeat gate checks of one credential at a member, an
 # authority appending the block it built from records it admitted, and the
-# simulator's in-process replicas, which each append every block.
+# simulator's in-process replicas, which each append every block. A miss
+# runs one full verification: libsodium's, and OpenSSL's too unless
+# libsodium accepted.
 @lru_cache(maxsize=1 << 16)
 def _verify_cached(public: bytes, message: bytes, signature: bytes) -> bool:
+    # libsodium reads exactly 64 signature and 32 key bytes, so it only sees
+    # arguments of those lengths.
+    if (
+        _sodium_verify is not None
+        and isinstance(public, bytes) and len(public) == PUBLIC_KEY_LEN
+        and isinstance(signature, bytes) and len(signature) == SIGNATURE_LEN
+        and isinstance(message, bytes)
+        and _sodium_verify(signature, message, len(message), public) == 0
+    ):
+        return True
     try:
         key = ed25519.Ed25519PublicKey.from_public_bytes(public)
         key.verify(signature, message)

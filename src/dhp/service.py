@@ -27,6 +27,12 @@ so the announcer sends the blocks after the receiver's head. Both ends decode
 every body through core.Reader, so any malformed body is an EncodingError or
 ServiceError, never a crash of the reading thread.
 
+A node serves at most MAX_CONNECTIONS connections at once, one thread each;
+a connection past the cap is sent ERROR (rejected) in place of the CHALLENGE
+and closed. A connection that has not authenticated within AUTH_TIMEOUT, or
+that sends no request for IDLE_TIMEOUT, is closed, so only live members hold
+a slot.
+
 Each node owns its chain through a single writer lock; request handlers read
 immutable snapshots. Appended blocks are persisted to the node's block log
 before they are announced.
@@ -34,6 +40,7 @@ before they are announced.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import secrets
@@ -101,6 +108,11 @@ AUTH_TAG = b"DHPA1|"
 MAX_FRAME = 4 * 1024 * 1024
 #: Pending credentials an authority holds; a submit past it is refused.
 MAX_MEMPOOL = 4 * MAX_BLOCK_RECORDS
+#: Connections a node serves at once, one thread each; one past it is refused.
+MAX_CONNECTIONS = 64
+#: Seconds a connection has to answer the challenge, and to send its next request.
+AUTH_TIMEOUT = 5.0
+IDLE_TIMEOUT = 60.0
 
 MSG_CHALLENGE = 0x01
 MSG_AUTH = 0x02
@@ -220,6 +232,7 @@ class _Handler(socketserver.BaseRequestHandler):
         node: Node = self.server.node  # type: ignore[attr-defined]
         sock = self.request
         try:
+            sock.settimeout(AUTH_TIMEOUT)
             nonce = secrets.token_bytes(32)
             send_frame(sock, bytes((MSG_CHALLENGE,)) + nonce)
             frame = recv_frame(sock)
@@ -228,6 +241,7 @@ class _Handler(socketserver.BaseRequestHandler):
                 send_frame(sock, _error(ERR_UNAUTHORIZED, "authentication failed"))
                 return
             send_frame(sock, bytes((MSG_AUTH_OK,)))
+            sock.settimeout(IDLE_TIMEOUT)
             while True:
                 frame = recv_frame(sock)
                 send_frame(sock, node.dispatch(member, frame))
@@ -249,13 +263,49 @@ class _Handler(socketserver.BaseRequestHandler):
 
 
 class _Server(socketserver.ThreadingTCPServer):
+    """One handler thread per connection, at most MAX_CONNECTIONS live at
+    once. A connection past the cap gets one ERROR frame instead of a
+    CHALLENGE and is closed."""
+
     allow_reuse_address = True
     daemon_threads = True
+
+    def __init__(self, address: tuple[str, int], handler: type) -> None:
+        super().__init__(address, handler)
+        self.slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+
+    def process_request(self, request, client_address) -> None:
+        if not self.slots.acquire(blocking=False):
+            with contextlib.suppress(OSError):
+                send_frame(request, _error(ERR_REJECTED, "too many connections"))
+            self.shutdown_request(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:  # no thread started, so none will release
+            self.slots.release()
+            raise
+
+    def process_request_thread(self, request, client_address) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self.slots.release()
 
 
 def _error(code: int, message: str) -> bytes:
     body = message.encode("utf-8")
     return bytes((MSG_ERROR,)) + struct.pack(">HH", code, len(body)) + body
+
+
+def _reply(frame: bytes) -> bytes:
+    """The frame, unless it is an ERROR, which raises ServiceError."""
+    r = Reader(frame)
+    if frame and r.u8() == MSG_ERROR:
+        code, message = r.u16(), r.take(r.u16())
+        r.done()
+        raise ServiceError(code, message.decode("utf-8", errors="replace"))
+    return frame
 
 
 def _body(frame: bytes, kind: int) -> Reader:
@@ -574,7 +624,7 @@ class NodeClient:
     def connect(cls, host: str, port: int, key: KeyPair, registry: Registry, timeout: float = 5.0) -> "NodeClient":
         sock = socket.create_connection((host, port), timeout=timeout)
         try:
-            nonce = _body(recv_frame(sock), MSG_CHALLENGE).finish(Reader.take, 32)
+            nonce = _body(_reply(recv_frame(sock)), MSG_CHALLENGE).finish(Reader.take, 32)
             signature = sign(key, AUTH_TAG + nonce)
             auth = bytes((MSG_AUTH, key.owner.role.value)) + key.owner.id + struct.pack(">H", len(signature))
             send_frame(sock, auth + signature)
@@ -597,13 +647,7 @@ class NodeClient:
     def request(self, payload: bytes) -> bytes:
         """Send one message and return the reply; an ERROR reply raises."""
         send_frame(self._sock, payload)
-        reply = recv_frame(self._sock)
-        r = Reader(reply)
-        if reply and r.u8() == MSG_ERROR:
-            code, message = r.u16(), r.take(r.u16())
-            r.done()
-            raise ServiceError(code, message.decode("utf-8", errors="replace"))
-        return reply
+        return _reply(recv_frame(self._sock))
 
     def submit_dhp(self, pending: PendingDhp) -> tuple[bytes, bool]:
         reply = _body(self.request(bytes((MSG_SUBMIT,)) + pending_bytes(pending)), MSG_SUBMIT_ACK)

@@ -10,8 +10,10 @@ A writer opening either log trims a torn final frame (truncated write) back
 to the last good boundary, then holds the log open until close(): each
 append is one write of the whole frame and one fsync. A write that fails
 part-way is truncated back to the frame's start before the error is raised,
-so the next append still lands on a frame boundary. Readers ignore a torn
-frame.
+so the next append still lands on a frame boundary. A failed fsync is
+fail-stop: the log closes before the error is raised, and every later append
+raises OSError and writes nothing, so a retry can never log a frame twice.
+Readers ignore a torn frame.
 Registry file: one member per line, `ROLE hex_id hex_pubkey`.
 Key file: a single `ROLE hex_id hex_seed` line; public key and id re-derive
 from the seed on load, so tampering is detected.
@@ -133,7 +135,10 @@ class _Log:
         returning. The write holds the lock, so concurrent frames never
         interleave; the fsync does not, so concurrent appends can share one
         journal commit. A closed log raises OSError and writes nothing; a
-        failed write is cut back off the log before the OSError propagates."""
+        failed write is cut back off the log before the OSError propagates.
+        A failed fsync closes the log before it propagates: the frame may or
+        may not be durable, so no later frame (such as a retry of the same
+        block) may follow it."""
         frame = memoryview(struct.pack(">I", len(payload)) + payload)
         try:
             with self._lock:
@@ -144,7 +149,11 @@ class _Log:
                 except OSError:
                     self._file.truncate(self._file.seek(0, os.SEEK_END) - written)
                     raise
-            os.fsync(self._file.fileno())
+            try:
+                os.fsync(self._file.fileno())
+            except OSError:
+                self.close()
+                raise
         except ValueError:  # I/O on a closed file
             raise OSError(errno.EBADF, f"{self.path} is closed") from None
 

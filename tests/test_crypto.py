@@ -1,10 +1,19 @@
+import contextlib
+import ctypes
+import ctypes.util
 import hashlib
 from dataclasses import replace
 from datetime import date
 from random import Random
+from types import SimpleNamespace
 
 import pytest
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric import ed25519
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dhp import crypto
 from dhp.core import EncodingError, InvalidDocument, Role, TravelDocument, canonical_doc_bytes
 from dhp.crypto import (
     Salt,
@@ -88,6 +97,151 @@ def test_verify_is_total_on_garbage():
     assert not verify_sig(key.public, b"m", b"\x00" * 63)
     assert not verify_sig(b"", b"m", b"\x00" * 64)
     assert not verify_sig(b"\xff" * 31, b"m", b"\x00" * 64)
+
+
+def openssl_verdict(public, message, signature) -> bool:
+    """The verdict of a direct `cryptography` (OpenSSL) call."""
+    try:
+        ed25519.Ed25519PublicKey.from_public_bytes(public).verify(signature, message)
+        return True
+    except (InvalidSignature, ValueError, TypeError):
+        return False
+
+
+@contextlib.contextmanager
+def sodium_binding(bound: bool):
+    """verify_sig with libsodium as bound at import, or with the binding
+    forced off as on a host without the library. The memo is cleared on the
+    way in and out, so no verdict crosses from one binding to the other."""
+    saved = crypto._sodium_verify
+    crypto._sodium_verify = saved if bound else None
+    crypto._verify_cached.cache_clear()
+    try:
+        yield
+    finally:
+        crypto._sodium_verify = saved
+        crypto._verify_cached.cache_clear()
+
+
+KEYS = [keygen(Role.THF, bytes((i,)) * 32) for i in (1, 2, 3)]
+NOT_BYTES = st.one_of(st.none(), st.integers(), st.text(max_size=64))
+
+
+@st.composite
+def verify_cases(draw):
+    """(kind, public, message, signature): a valid signature, or one with a
+    bit flipped in any argument, under another key, of a wrong length,
+    random bytes, or an argument that is not bytes at all."""
+    key, other = draw(st.permutations(KEYS))[:2]
+    message = draw(st.binary(max_size=64))
+    args = [key.public, message, sign(key, message)]
+    kind = draw(st.sampled_from(["valid", "flip", "wrong_key", "wrong_length", "random", "not_bytes"]))
+    if kind == "flip":
+        which = draw(st.sampled_from([0, 2] + ([1] if message else [])))
+        arg = bytearray(args[which])
+        bit = draw(st.integers(0, len(arg) * 8 - 1))
+        arg[bit // 8] ^= 1 << (bit % 8)
+        args[which] = bytes(arg)
+    elif kind == "wrong_key":
+        args[0] = other.public
+    elif kind == "wrong_length":
+        which = draw(st.sampled_from([0, 2]))
+        cut = args[which][:draw(st.integers(0, len(args[which]) - 1))]
+        longer = args[which] + draw(st.binary(min_size=1, max_size=8))
+        args[which] = draw(st.sampled_from([cut, longer]))
+    elif kind == "random":
+        args[0], args[2] = draw(st.binary(min_size=32, max_size=32)), draw(st.binary(min_size=64, max_size=64))
+    elif kind == "not_bytes":
+        args[draw(st.integers(0, 2))] = draw(NOT_BYTES)
+    return (kind, *args)
+
+
+@pytest.mark.parametrize("bound", [True, False], ids=["libsodium", "openssl-only"])
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=verify_cases())
+def test_verify_sig_matches_openssl(bound, case):
+    kind, public, message, signature = case
+    with sodium_binding(bound):
+        verdict = verify_sig(public, message, signature)
+    assert verdict == openssl_verdict(public, message, signature)
+    if kind == "valid":
+        assert verdict
+
+
+def identity_r_signature(key, message: bytes) -> bytes:
+    """A signature with R the identity point and S = h*a mod L. It meets the
+    cofactorless equation [S]B = R + [h]A, which OpenSSL checks, but
+    libsodium refuses R for its small order."""
+    order = 2**252 + 27742317777372353535851937790883648493
+    digest = bytearray(hashlib.sha512(key.secret).digest()[:32])
+    digest[0] &= 248
+    digest[31] = (digest[31] & 127) | 64
+    scalar = int.from_bytes(digest, "little")
+    r = b"\x01" + bytes(31)
+    h = int.from_bytes(hashlib.sha512(r + key.public + message).digest(), "little") % order
+    return r + (h * scalar % order).to_bytes(32, "little")
+
+
+@pytest.mark.parametrize("bound", [True, False], ids=["libsodium", "openssl-only"])
+def test_identity_r_signature_is_accepted_as_openssl_accepts_it(bound):
+    key, message = KEYS[0], b"identity R"
+    signature = identity_r_signature(key, message)
+    assert openssl_verdict(key.public, message, signature)
+    if crypto._sodium_verify is not None:
+        assert crypto._sodium_verify(signature, message, len(message), key.public) != 0
+    with sodium_binding(bound):
+        assert verify_sig(key.public, message, signature)
+
+
+def installed_sodium_version():
+    """The version of the libsodium find_library finds, or None."""
+    name = ctypes.util.find_library("sodium")
+    if name is None:
+        return None
+    lib = ctypes.CDLL(name)
+    lib.sodium_version_string.restype = ctypes.c_char_p
+    return tuple(int(n) for n in lib.sodium_version_string().decode().split(".")[:3])
+
+
+@pytest.mark.skipif((installed_sodium_version() or (0,)) < (1, 0, 18), reason="no libsodium 1.0.18 or later")
+def test_libsodium_is_bound_where_installed():
+    assert crypto._sodium_verify is not None
+
+
+def test_openssl_refuses_the_rfc8032_signature_with_l_added_to_s():
+    """The vector _bind_sodium checks a library against: OpenSSL takes the
+    signature and refuses its twin with S + L, which has the same top bits."""
+    sig = crypto._RFC8032_SIGNATURE
+    malleated = sig[:32] + (int.from_bytes(sig[32:], "little") + crypto._ED25519_L).to_bytes(32, "little")
+    assert openssl_verdict(crypto._RFC8032_PUBLIC, b"", sig)
+    assert not openssl_verdict(crypto._RFC8032_PUBLIC, b"", malleated)
+
+
+def fake_sodium(version: bytes, accepts):
+    """A stand-in for the loaded library: its verify returns 0 for the
+    signatures accepts(signature) is true of, -1 for the rest."""
+    return SimpleNamespace(
+        sodium_version_string=lambda: version,
+        sodium_init=lambda: 0,
+        crypto_sign_ed25519_verify_detached=lambda sig, m, n, pk: 0 if accepts(sig) else -1,
+    )
+
+
+@pytest.mark.parametrize(
+    "version, accepts, bound",
+    [
+        (b"1.0.18", lambda sig: sig == crypto._RFC8032_SIGNATURE, True),
+        (b"1.0.20", lambda sig: sig == crypto._RFC8032_SIGNATURE, True),
+        (b"1.0.17", lambda sig: sig == crypto._RFC8032_SIGNATURE, False),
+        (b"1.0.18", lambda sig: True, False),  # takes S + L, as ED25519_COMPAT builds do
+        (b"1.0.18", lambda sig: False, False),
+    ],
+    ids=["1.0.18", "1.0.20", "too-old", "takes-malleated-S", "refuses-all"],
+)
+def test_libsodium_is_bound_only_if_it_refuses_what_openssl_refuses(monkeypatch, version, accepts, bound):
+    monkeypatch.setattr(ctypes.util, "find_library", lambda name: "libsodium-stand-in")
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: fake_sodium(version, accepts))
+    assert (crypto._bind_sodium() is not None) == bound
 
 
 def test_sign_rejects_malformed_secret():

@@ -1,6 +1,10 @@
 import contextlib
+import errno
+import os
+import socket
 import socketserver
 import struct
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -511,6 +515,156 @@ def test_propose_once_logs_before_it_publishes(solo, monkeypatch):
     assert ack in hsa._tokens and not hsa._mempool
     replayed, _ = replay_block_log(hsa._log.path, c.registry, int(time.time()), strict=True)
     assert replayed.tip == block
+
+
+def test_a_failed_fsync_stops_the_block_log(solo, monkeypatch):
+    """A block whose fsync failed may or may not be on disk, so the log takes
+    no further frame: the retry at the same height fails too, and a restart
+    finds at most that one block, not the height logged twice."""
+    c, hsa = solo
+    with connect(hsa, c.thf_keys[0], c.registry) as client:
+        client.submit_dhp(issue(c, 73))
+    real_fsync, failures = os.fsync, []
+
+    def fsync_fails_once(fd):
+        if not failures:
+            failures.append(fd)
+            raise OSError(errno.EIO, "Input/output error")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync_fails_once)
+    for _ in range(2):
+        with pytest.raises(OSError):
+            hsa.propose_once()
+    assert hsa.state.height == 0
+    monkeypatch.undo()
+    restarted = HsaNode(hsa.config)
+    try:
+        assert restarted.state.height in (0, 1)
+    finally:
+        restarted.stop()
+
+
+def connect_when_free(hsa, c):
+    """A client of hsa, retried while the node refuses it for want of a slot."""
+    clients = []
+
+    def attempt():
+        try:
+            clients.append(connect(hsa, c.thf_keys[0], c.registry))
+        except ServiceError as exc:
+            assert exc.code == ERR_REJECTED
+            return False
+        return True
+
+    assert wait_until(attempt)
+    return clients[0]
+
+
+def test_connections_past_the_cap_are_refused(tmp_path, monkeypatch):
+    """A node serves at most MAX_CONNECTIONS connections at once. One more is
+    refused with ERR_REJECTED in place of the challenge, the connections it
+    holds keep working, and a closed one frees its slot."""
+    monkeypatch.setattr("dhp.service.MAX_CONNECTIONS", 2)
+    c, (hsa,) = parked_authorities(tmp_path, 1)
+    try:
+        first, second = (connect(hsa, c.thf_keys[0], c.registry) for _ in range(2))
+        with pytest.raises(ServiceError) as err:
+            connect(hsa, c.thf_keys[0], c.registry)
+        assert err.value.code == ERR_REJECTED
+        assert second.get_head().height == 0
+        first.close()
+        with connect_when_free(hsa, c) as third:
+            assert third.get_head().height == 0
+        second.close()
+    finally:
+        hsa.stop()
+
+
+def test_connection_slots_survive_concurrent_churn(tmp_path, monkeypatch):
+    """Eight clients connect and close at once against a cap of four: each
+    connect is served or refused with ERR_REJECTED, and once all are closed
+    all four slots are free again and a fifth connection is still refused,
+    so no slot was lost or leaked."""
+    monkeypatch.setattr("dhp.service.MAX_CONNECTIONS", 4)
+    c, (hsa,) = parked_authorities(tmp_path, 1)
+    outcomes, errors = [], []
+
+    def churn():
+        try:
+            for _ in range(5):
+                try:
+                    with connect(hsa, c.thf_keys[0], c.registry) as client:
+                        client.get_head()
+                    outcomes.append("served")
+                except ServiceError as exc:
+                    outcomes.append(exc.code)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=churn) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len(outcomes) == 40 and set(outcomes) <= {"served", ERR_REJECTED}
+        assert "served" in outcomes
+    finally:
+        sys.setswitchinterval(interval)
+    try:
+        held = [connect_when_free(hsa, c) for _ in range(4)]
+        with pytest.raises(ServiceError) as err:
+            connect(hsa, c.thf_keys[0], c.registry)
+        assert err.value.code == ERR_REJECTED
+        for client in held:
+            client.close()
+    finally:
+        hsa.stop()
+
+
+def test_a_connection_that_never_authenticates_loses_its_slot(tmp_path, monkeypatch):
+    """Sockets that take the challenge and never answer it hold their slots
+    only until AUTH_TIMEOUT: then the node closes them and serves a member."""
+    monkeypatch.setattr("dhp.service.MAX_CONNECTIONS", 2)
+    monkeypatch.setattr("dhp.service.AUTH_TIMEOUT", 0.3)
+    c, (hsa,) = parked_authorities(tmp_path, 1)
+    silent = [socket.create_connection(hsa.address, timeout=5) for _ in range(2)]
+    try:
+        for sock in silent:
+            assert recv_frame(sock)[0] == MSG_CHALLENGE
+        with pytest.raises(ServiceError) as err:
+            connect(hsa, c.thf_keys[0], c.registry)
+        assert err.value.code == ERR_REJECTED
+        with connect_when_free(hsa, c) as member:
+            assert member.get_head().height == 0
+        assert [sock.recv(1) for sock in silent] == [b"", b""]
+    finally:
+        for sock in silent:
+            sock.close()
+        hsa.stop()
+
+
+def test_an_idle_member_loses_its_slot(tmp_path, monkeypatch):
+    """An authenticated connection that sends no request for IDLE_TIMEOUT is
+    closed, and its slot goes to the next member."""
+    monkeypatch.setattr("dhp.service.MAX_CONNECTIONS", 1)
+    monkeypatch.setattr("dhp.service.IDLE_TIMEOUT", 0.3)
+    c, (hsa,) = parked_authorities(tmp_path, 1)
+    try:
+        idle = connect(hsa, c.thf_keys[0], c.registry)
+        assert idle.get_head().height == 0
+        with connect_when_free(hsa, c) as member:
+            assert member.get_head().height == 0
+        with pytest.raises(OSError):
+            idle.get_head()
+        idle.close()
+    finally:
+        hsa.stop()
 
 
 def test_a_block_from_a_peer_mints_the_tokens_it_settles(tmp_path):
