@@ -93,6 +93,21 @@ def derive_public(secret: bytes) -> bytes:
     )
 
 
+# The y-coordinates, sign bit cleared, of the points of order 1, 2, 4 and 8:
+# 0, 1, p - 1, p and p + 1 (0 and 1 again, non-canonical), and the two of order
+# 8. Under such a key OpenSSL takes R = identity, S = 0 for many messages.
+_SMALL_ORDER_Y = frozenset(bytes.fromhex(y) for y in (
+    "00" * 32, "01" + "00" * 31, "ec" + "ff" * 30 + "7f", "ed" + "ff" * 30 + "7f", "ee" + "ff" * 30 + "7f",
+    "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+    "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+))
+
+
+def usable_public_key(public: bytes) -> bool:
+    """True iff public is 32 bytes and not a point of small order."""
+    return len(public) == PUBLIC_KEY_LEN and public[:31] + bytes((public[31] & 0x7F,)) not in _SMALL_ORDER_Y
+
+
 def actor_id_for(public: bytes) -> bytes:
     """16-byte actor id derived from the verification key."""
     return hashlib.sha256(ACTOR_ID_TAG + public).digest()[:16]

@@ -7,6 +7,16 @@ authority appends it. Record order inside a block is canonical (ascending by
 commitment), which removes proposer discretion and makes Merkle roots
 reproducible. Wire frames carry only signed fields plus signatures; issuer and
 authority keys come from the consortium registry at validation time.
+
+validate_block alone decides whether a block may enter a chain; the proposer
+only builds and signs. It reports the first rule broken, in this order: the
+height is the tip's plus one (WrongHeight) and prev_hash the tip's hash
+(BadPrevHash); the scheduled HSA signed the header (WrongAuthority,
+BadAuthoritySig); 1 to MAX_BLOCK_RECORDS records (BadRecordCount) under the
+header's Merkle root (BadMerkleRoot), each signed by a registered THF
+(UnknownIssuer, BadRecordSig); commitments strictly ascending, so none repeats
+(BadOrdering), and none already on the chain (DuplicateRecord); block and test
+times within CLOCK_SKEW_SECONDS (BadTimestamp).
 """
 
 from __future__ import annotations
@@ -43,25 +53,6 @@ class EmptyAuthoritySet(DhpError):
     pass
 
 
-class NotScheduled(DhpError):
-    pass
-
-
-class EmptyBatch(DhpError):
-    pass
-
-
-class OversizedBatch(DhpError):
-    pass
-
-
-class InvalidPendingRecord(DhpError):
-    def __init__(self, index: int, reason: str):
-        super().__init__(f"pending record {index}: {reason}")
-        self.index = index
-        self.reason = reason
-
-
 class BlockError(Enum):
     """Validation failures, reported in this fixed precedence order."""
 
@@ -74,6 +65,7 @@ class BlockError(Enum):
     UNKNOWN_ISSUER = "UnknownIssuer"
     BAD_RECORD_SIG = "BadRecordSig"
     BAD_ORDERING = "BadOrdering"
+    DUPLICATE_RECORD = "DuplicateRecord"
     BAD_TIMESTAMP = "BadTimestamp"
 
 
@@ -246,36 +238,12 @@ def propose_block(
     hsa: KeyPair,
     now: int,
 ) -> Block:
-    """Build the next block from admitted credentials.
-
-    The proposer must be the authority scheduled for tip+1. Pending records are
-    deduplicated (byte-identical repeats), rejected if their commitment is
-    already on-chain or collides with a differing pending record, and sorted
-    into canonical order. append_block validates the result.
-    """
-    height = len(state.blocks)
-    sched = scheduled_authority(height, state.authority_set)
-    if hsa.owner.role is not Role.HSA or hsa.owner.id != sched.id:
-        raise NotScheduled(f"{hsa.owner.label()} is not scheduled for height {height}")
-    if not pending:
-        raise EmptyBatch("no pending records")
-
-    chosen: dict[bytes, HealthPassport] = {}
-    for i, record in enumerate(pending):
-        if record.commitment in state.index:
-            raise InvalidPendingRecord(i, "commitment already on-chain")
-        prior = chosen.get(record.commitment)
-        if prior is not None:
-            if prior != record:
-                raise InvalidPendingRecord(i, "commitment collides with a differing record")
-            continue  # byte-identical duplicate
-        chosen[record.commitment] = record
-    if len(chosen) > MAX_BLOCK_RECORDS:
-        raise OversizedBatch(f"{len(chosen)} records exceed the {MAX_BLOCK_RECORDS}-record block limit")
-
-    records = tuple(sorted(chosen.values(), key=lambda r: r.commitment))
+    """Build the next block over pending, in canonical order, and sign it
+    with hsa. Nothing is checked here: append_block refuses whatever block
+    validate_block refuses."""
+    records = tuple(sorted(pending, key=lambda r: r.commitment))
     header = BlockHeader(
-        height=height,
+        height=len(state.blocks),
         prev_hash=header_hash(state.tip.header),
         merkle_root=merkle_root(records),
         authority_id=hsa.owner,
@@ -311,6 +279,8 @@ def validate_block(state: ChainState, block: Block, now: int) -> BlockError | No
     for a, b in zip(block.records, block.records[1:]):
         if a.commitment >= b.commitment:
             return BlockError.BAD_ORDERING
+    if any(r.commitment in state.index for r in block.records):
+        return BlockError.DUPLICATE_RECORD
     if header.block_time < state.tip.header.block_time or header.block_time > now + CLOCK_SKEW_SECONDS:
         return BlockError.BAD_TIMESTAMP
     if any(r.tested_at > header.block_time + CLOCK_SKEW_SECONDS for r in block.records):

@@ -182,8 +182,8 @@ def hsa_register(
     traveller tokens; the block is the returned state's tip.
 
     Tokens are order-aligned with the input list; their record_index points at
-    the post-sort canonical position inside the block. A credential that
-    ledger.admit refuses makes the append raise InvalidBlock.
+    the post-sort canonical position inside the block. The append raises
+    InvalidBlock with the first block rule the batch breaks (see ledger).
     """
     block = propose_block(state, [p.record for p in pending], hsa, now)
     new_state = append_block(state, block, now)

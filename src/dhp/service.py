@@ -183,8 +183,8 @@ class NodeConfig:
 
 def parse_hostport(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise EncodingError(f"bad address {text!r}, expected host:port")
+    if not host or not port.isdecimal() or int(port) > 0xFFFF:
+        raise EncodingError(f"bad address {text!r}, expected host:port with a port of 0-65535")
     return host, int(port)
 
 
@@ -214,6 +214,12 @@ def parse_node_config(text: str, base_dir: Path | None = None) -> NodeConfig:
     policy_file = path_of(values["policy"]) if "policy" in values else None
     if role is Role.BM and policy_file is None:
         raise EncodingError("bm nodes require a policy file")
+    try:
+        block_interval = float(values.get("block_interval", "0.2"))
+        if not 0 < block_interval < float("inf"):
+            raise ValueError
+    except ValueError:
+        raise EncodingError("block_interval must be a finite number of seconds above 0") from None
     return NodeConfig(
         role=role,
         listen=listen,
@@ -222,7 +228,7 @@ def parse_node_config(text: str, base_dir: Path | None = None) -> NodeConfig:
         key_file=key_file,
         peers=peers,
         policy_file=policy_file,
-        block_interval=float(values.get("block_interval", "0.2")),
+        block_interval=block_interval,
         genesis_time=int(values.get("genesis_time", "0")),
     )
 
@@ -452,9 +458,9 @@ class HsaNode(Node):
         super().__init__(config)
         self._mempool: dict[bytes, PendingDhp] = {}
         self._tokens: dict[bytes, DhpToken] = {}
-        # Peers known to hold the block this node last announced. None after a
-        # start, which may follow a crash between logging a block and
-        # announcing it. Written by the proposing thread only.
+        # Peers known to hold the block last announced: none after a start,
+        # which may follow a crash between logging and announcing a block, so
+        # the first idle tick re-announces the tip. Proposing thread only.
         self._acked: set[tuple[str, int]] = set()
 
     def start(self) -> None:

@@ -14,7 +14,8 @@ so the next append still lands on a frame boundary. A failed fsync is
 fail-stop: the log closes before the error is raised, and every later append
 raises OSError and writes nothing, so a retry can never log a frame twice.
 Readers ignore a torn frame.
-Registry file: one member per line, `ROLE hex_id hex_pubkey`.
+Registry file: one member per line, `ROLE hex_id hex_pubkey`; a key that is
+not 32 bytes or has small order, or a repeated (role, id), is refused.
 Key file: a single `ROLE hex_id hex_seed` line; public key and id re-derive
 from the seed on load, so tampering is detected.
 """
@@ -28,7 +29,7 @@ import threading
 from pathlib import Path
 
 from .core import ActorId, DhpError, EncodingError, Registry, Role
-from .crypto import KeyPair, actor_id_for, derive_public
+from .crypto import KeyPair, actor_id_for, derive_public, usable_public_key
 from .ledger import Block, ChainState, InvalidBlock, append_block, block_bytes, parse_block
 from .protocol import VerificationReceipt, parse_receipt_frame, receipt_frame_bytes
 
@@ -226,6 +227,7 @@ def format_registry(registry: Registry) -> str:
 
 def parse_registry(text: str) -> Registry:
     members: list[ActorId] = []
+    seen: set[tuple[Role, bytes]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -242,6 +244,11 @@ def parse_registry(text: str) -> Registry:
             raise EncodingError(f"registry line {lineno}: bad field") from None
         if len(actor_id) != 16:
             raise EncodingError(f"registry line {lineno}: id must be 16 bytes")
+        if not usable_public_key(public):
+            raise EncodingError(f"registry line {lineno}: key is not 32 bytes, or has small order")
+        if (role, actor_id) in seen:
+            raise EncodingError(f"registry line {lineno}: repeats {role.name} {id_hex}")
+        seen.add((role, actor_id))
         members.append(ActorId(role=role, id=actor_id, public_key=public))
     return Registry(members=tuple(members))
 

@@ -321,9 +321,10 @@ def test_thf_submit_cli_rejects_a_bad_node_address(tmp_path, capsys):
     save_registry(tmp_path / "registry.txt", c.registry)
     save_keypair(tmp_path / "thf.key", c.thf_keys[0])
     pending = thf_issue(c.thf_keys[0], make_doc(1), True, c.method, T0, now=T0)
-    code, _, err = run_cli(
-        capsys, "thf", "submit", "--key", str(tmp_path / "thf.key"), "--node", "127.0.0.1:nope",
-        "--pending", pending_bytes(pending).hex(), "--registry", str(tmp_path / "registry.txt"),
-    )
-    assert code == 1
-    assert "bad address '127.0.0.1:nope', expected host:port" in err
+    for address in ("127.0.0.1:nope", "127.0.0.1:99999"):  # not a port; wraps to 34463 if connected
+        code, _, err = run_cli(
+            capsys, "thf", "submit", "--key", str(tmp_path / "thf.key"), "--node", address,
+            "--pending", pending_bytes(pending).hex(), "--registry", str(tmp_path / "registry.txt"),
+        )
+        assert code == 1
+        assert f"bad address '{address}', expected host:port" in err

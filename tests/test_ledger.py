@@ -13,11 +13,8 @@ from dhp.ledger import (
     ChainState,
     DhpToken,
     EmptyAuthoritySet,
-    EmptyBatch,
     InvalidBlock,
-    InvalidPendingRecord,
     LookupStatus,
-    NotScheduled,
     admit,
     append_block,
     block_bytes,
@@ -155,20 +152,25 @@ def test_propose_on_genesis_tip_validates(consortium):
     assert validate_block(consortium.state, block, now=T0 + 200) is None
 
 
+def refusal(state, records, hsa, now=T0 + 120) -> BlockError:
+    """The error append_block raises for the block proposed over records."""
+    with pytest.raises(InvalidBlock) as err:
+        append_block(state, propose_block(state, records, hsa, now), now)
+    return err.value.error
+
+
 def test_propose_not_scheduled(consortium):
     wrong = consortium.hsa_keys[0]  # height 1 belongs to hsa_keys[1]
-    with pytest.raises(NotScheduled):
-        propose_block(consortium.state, [issue(consortium, 0).record], wrong, T0 + 120)
+    assert refusal(consortium.state, [issue(consortium, 0).record], wrong) is BlockError.WRONG_AUTHORITY
 
 
 def test_propose_rejects_non_hsa_key(consortium):
-    with pytest.raises(NotScheduled):
-        propose_block(consortium.state, [issue(consortium, 0).record], consortium.bm_keys[0], T0 + 120)
+    bm = consortium.bm_keys[0]
+    assert refusal(consortium.state, [issue(consortium, 0).record], bm) is BlockError.WRONG_AUTHORITY
 
 
 def test_propose_empty_batch(consortium):
-    with pytest.raises(EmptyBatch):
-        propose_block(consortium.state, [], consortium.hsa_keys[1], T0 + 120)
+    assert refusal(consortium.state, [], consortium.hsa_keys[1]) is BlockError.BAD_RECORD_COUNT
 
 
 def test_propose_rejects_tampered_record(consortium):
@@ -191,15 +193,14 @@ def test_propose_rejects_unknown_issuer(consortium):
     assert admit(consortium.state, pending.record, T0 + 120) is BlockError.UNKNOWN_ISSUER
 
 
-def test_propose_dedupes_identical_and_rejects_on_chain_duplicates(consortium):
+def test_propose_refuses_repeats_in_batch_and_on_chain(consortium):
     pending = issue(consortium, 0)
-    block = propose_block(
-        consortium.state, [pending.record, pending.record], consortium.hsa_keys[1], T0 + 120
-    )
-    assert len(block.records) == 1
+    twice = [pending.record, pending.record]
+    assert refusal(consortium.state, twice, consortium.hsa_keys[1]) is BlockError.BAD_ORDERING
+    block = propose_block(consortium.state, [pending.record], consortium.hsa_keys[1], T0 + 120)
     state = append_block(consortium.state, block, T0 + 120)
-    with pytest.raises(InvalidPendingRecord):
-        propose_block(state, [pending.record], consortium.hsa_keys[0], T0 + 180)
+    again = [pending.record, issue(consortium, 1).record]
+    assert refusal(state, again, consortium.hsa_keys[0], T0 + 180) is BlockError.DUPLICATE_RECORD
 
 
 def test_propose_sorts_records_canonically(consortium):
@@ -209,11 +210,8 @@ def test_propose_sorts_records_canonically(consortium):
 
 
 def test_propose_rejects_oversized_batch(consortium):
-    from dhp.ledger import OversizedBatch
-
     records = [issue(consortium, i).record for i in range(MAX_BLOCK_RECORDS + 1)]
-    with pytest.raises(OversizedBatch):
-        propose_block(consortium.state, records, consortium.hsa_keys[1], T0 + 120)
+    assert refusal(consortium.state, records, consortium.hsa_keys[1]) is BlockError.BAD_RECORD_COUNT
 
 
 # --- validate ----------------------------------------------------------------
@@ -281,6 +279,20 @@ def test_validate_errors_in_precedence_order(consortium):
         Block(replace(block.header, merkle_root=merkle_root(swapped)), swapped), hsa
     )
     assert validate_block(state, out_of_order, T0 + 200) is BlockError.BAD_ORDERING
+
+    # block 2 repeats a credential block 1 holds: refused even when it is also
+    # too early, but out of order is reported first
+    held = append_block(state, block, T0 + 200)
+    fresh = issue(c, 60).record
+    records = tuple(sorted((block.records[0], fresh), key=lambda r: r.commitment))
+    repeat = propose_block(held, list(records), c.hsa_keys[0], T0 + 200)
+    assert validate_block(held, repeat, T0 + 200) is BlockError.DUPLICATE_RECORD
+    early_repeat = resign(Block(replace(repeat.header, block_time=T0 - 1), records), c.hsa_keys[0])
+    assert validate_block(held, early_repeat, T0 + 200) is BlockError.DUPLICATE_RECORD
+    unordered_repeat = resign(
+        Block(replace(repeat.header, merkle_root=merkle_root(records[::-1])), records[::-1]), c.hsa_keys[0]
+    )
+    assert validate_block(held, unordered_repeat, T0 + 200) is BlockError.BAD_ORDERING
 
     too_early = resign(Block(replace(block.header, block_time=T0 - 1), block.records), hsa)
     assert validate_block(state, too_early, T0 + 200) is BlockError.BAD_TIMESTAMP

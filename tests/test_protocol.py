@@ -15,7 +15,7 @@ from dhp.core import (
     record_signing_bytes,
 )
 from dhp.crypto import Salt, commit, sign, verify_sig
-from dhp.ledger import Block, DhpToken, EmptyBatch, block_bytes, header_hash, token_bytes
+from dhp.ledger import Block, BlockError, DhpToken, InvalidBlock, block_bytes, header_hash, token_bytes
 from dhp.protocol import (
     BadReceiptSignature,
     FutureTimestamp,
@@ -119,8 +119,9 @@ def test_hsa_register_round_trip(consortium):
 
 
 def test_hsa_register_empty_batch(consortium):
-    with pytest.raises(EmptyBatch):
+    with pytest.raises(InvalidBlock) as err:
         hsa_register(consortium.hsa_keys[1], consortium.state, [], T0)
+    assert err.value.error is BlockError.BAD_RECORD_COUNT
 
 
 def test_hsa_register_tokens_map_to_post_sort_positions(consortium):

@@ -773,8 +773,9 @@ def test_garbled_peer_replies_stop_neither_proposer_nor_sync(net, monkeypatch):
 def test_orphan_that_fails_keeps_disk_and_memory_in_step(tmp_path):
     """Block 2 with a zeroed authority signature, announced above the tip,
     is refused and kept nowhere; block 1 is then accepted, a repeat of it is
-    acked without being logged again, a conflicting block 1 and block 1's
-    header with other records are refused, and the log replays to block 1."""
+    acked without being logged again, a conflicting block 1, block 1's
+    header with other records and a block 2 that repeats block 1's credential
+    are refused, and the log replays to block 1."""
     c = Consortium(num_hsa=1, num_thf=1, num_bm=1, genesis_time=0)
     save_registry(tmp_path / "registry.txt", c.registry)
     save_keypair(tmp_path / "bm0.key", c.bm_keys[0])
@@ -789,7 +790,9 @@ def test_orphan_that_fails_keeps_disk_and_memory_in_step(tmp_path):
     )
     now = int(time.time())
     block1 = propose_block(c.state, [issue(c, 80).record], c.hsa_keys[0], now)
-    block2 = propose_block(append_block(c.state, block1, now), [issue(c, 81).record], c.hsa_keys[0], now)
+    state1 = append_block(c.state, block1, now)
+    block2 = propose_block(state1, [issue(c, 81).record], c.hsa_keys[0], now)
+    repeat2 = propose_block(state1, list(block1.records), c.hsa_keys[0], now)
     forged2 = Block(replace(block2.header, authority_signature=b"\x00" * 64), block2.records)
     other1 = propose_block(c.state, [issue(c, 79).record], c.hsa_keys[0], now)
     conflict1 = Block(replace(other1.header, authority_signature=b"\x00" * 64), other1.records)
@@ -805,6 +808,7 @@ def test_orphan_that_fails_keeps_disk_and_memory_in_step(tmp_path):
             assert client.announce_block(block1)
             assert not client.announce_block(conflict1)
             assert not client.announce_block(swapped1)
+            assert not client.announce_block(repeat2)
             assert bm.state is held
             assert bm._log.path.read_bytes() == log_bytes
     finally:
@@ -933,6 +937,13 @@ def test_parse_node_config_env_override(tmp_path, monkeypatch):
         "role = bm\nlisten = 1.2.3.4:1\ndata_dir = d\nregistry = r\nkey = k\n",  # bm w/o policy
         "role = hsa\nlisten = nope\ndata_dir = d\nregistry = r\nkey = k\n",
         "role = hsa\nlisten = 1.2.3.4:1\ndata_dir = d\nregistry = r\nkey = k\nkey = k2\n",  # repeated key
+        "role = hsa\nlisten = 1.2.3.4:99999\ndata_dir = d\nregistry = r\nkey = k\n",
+        "role = hsa\nlisten = 1.2.3.4:\u00b2\ndata_dir = d\nregistry = r\nkey = k\n",  # a digit int() refuses
+        "role = hsa\nlisten = 1.2.3.4:1\npeers = 1.2.3.4:65536\ndata_dir = d\nregistry = r\nkey = k\n",
+        *(
+            f"role = hsa\nlisten = 1.2.3.4:1\ndata_dir = d\nregistry = r\nkey = k\nblock_interval = {value}\n"
+            for value in ("0", "-1", "nan", "inf", "abc")
+        ),
     ],
 )
 def test_parse_node_config_errors(text, tmp_path):

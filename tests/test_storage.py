@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from dhp.core import EncodingError, Role
-from dhp.ledger import chain_bytes
+from dhp.ledger import chain_bytes, propose_block
 from dhp.protocol import bm_verify, receipt_frame_bytes
 from dhp.storage import (
     BlockLog,
@@ -138,6 +138,21 @@ def test_block_log_bad_magic(tmp_path):
     with pytest.raises(CorruptLog) as err:
         replay_block_log(path, c.registry, NOW)
     assert err.value.offset == 0
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_block_log_repeating_a_credential_is_corrupt_at_the_repeat(tmp_path, strict):
+    c = Consortium()
+    state = grow_chain_from(c, c.state, 0)
+    repeat = propose_block(state, [state.tip.records[0]], c.hsa_keys[0], T0 + 180)
+    log = BlockLog(tmp_path / "blocks.log")
+    log.append(state.tip)
+    log.append(repeat)
+    offsets = frame_offsets(log.path.read_bytes())
+    with pytest.raises(CorruptLog) as err:
+        replay_block_log(log.path, c.registry, NOW, strict=strict, genesis_time=c.genesis_time)
+    assert err.value.offset == offsets[1]
+    assert err.value.reason == "invalid block: DuplicateRecord"
 
 
 def test_block_log_restart_append_cycles(tmp_path):
@@ -301,6 +316,22 @@ def test_registry_file_round_trip(tmp_path, consortium):
     assert load_registry(path) == consortium.registry
 
 
+# The Ed25519 points of order at most 8, by y-coordinate with the sign bit
+# cleared: 0, 1, the two of order 8, p - 1, p (= 0) and p + 1 (= 1).
+SMALL_ORDER_Y = [
+    "00" * 32,
+    "01" + "00" * 31,
+    "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+    "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+    "ec" + "ff" * 30 + "7f",
+    "ed" + "ff" * 30 + "7f",
+    "ee" + "ff" * 30 + "7f",
+]
+SMALL_ORDER_KEYS = SMALL_ORDER_Y + [y[:62] + f"{int(y[62:], 16) | 0x80:02x}" for y in SMALL_ORDER_Y]
+THF_A, THF_B = seeded_key(Role.THF, "a"), seeded_key(Role.THF, "b")
+THF_LINE = f"THF {THF_A.owner.id.hex()} {THF_A.public.hex()}\n"
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -308,10 +339,14 @@ def test_registry_file_round_trip(tmp_path, consortium):
         "WIZARD aa11 bb22\n",                  # unknown role
         "THF zz bb22\n",                       # bad hex
         "THF aabb ccdd\n",                     # id not 16 bytes
+        f"THF {'11' * 16} {'22' * 5}\n",        # key not 32 bytes
+        *(f"THF {'11' * 16} {key}\n" for key in SMALL_ORDER_KEYS),
+        THF_LINE + THF_LINE,                   # repeated (role, id)
+        THF_LINE + THF_LINE.replace(THF_A.public.hex(), THF_B.public.hex()),
     ],
 )
 def test_registry_parse_errors(text):
-    with pytest.raises(EncodingError):
+    with pytest.raises(EncodingError, match=r"registry line \d"):
         parse_registry(text)
 
 

@@ -9,7 +9,8 @@ alternating pairs (pair i uses seed i; the side that runs first swaps every
 pair), and one traced run per side. Writes one JSON file: per workload and
 end-to-end metric of BENCHMARK.json, the parent and change medians and
 quartiles, every run's value and how many pairs the change won; the traced
-per-layer figures; the line count of src/**/*.py on each side; and the
+per-layer figures; the line count of src/**/*.py on each side, in total
+(src_lines) and per file (src_lines_by_file); and the
 commits, host, Python and `cryptography` versions. Nothing under perfbench/ is changed; exits 1 if any run was
 incorrect or did not finish.
 """
@@ -44,9 +45,13 @@ def export(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def source_lines(checkout: Path) -> int:
-    """Lines in the checkout's src/**/*.py."""
-    return sum(len(path.read_bytes().splitlines()) for path in (checkout / "src").rglob("*.py"))
+def source_lines_by_file(checkout: Path) -> dict[str, int]:
+    """Lines in each of the checkout's src/**/*.py, by path under src/."""
+    src = checkout / "src"
+    return {
+        path.relative_to(src).as_posix(): len(path.read_bytes().splitlines())
+        for path in sorted(src.rglob("*.py"))
+    }
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -116,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         export(args.parent, Path(tmp))
         sides = {"parent": Path(tmp), "change": ROOT}
-        src_lines = {side: source_lines(path) for side, path in sides.items()}
+        src_lines_by_file = {side: source_lines_by_file(path) for side, path in sides.items()}
         workloads = {
             w: bench_workload(sides, w, args, manifest["end_to_end"]) for w in args.workloads.split(",")
         }
@@ -129,7 +134,8 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": args.pairs,
         "seconds": args.seconds,
         "seeds": list(range(1, args.pairs + 1)),
-        "src_lines": src_lines,
+        "src_lines": {side: sum(lines.values()) for side, lines in src_lines_by_file.items()},
+        "src_lines_by_file": src_lines_by_file,
         "workloads": workloads,
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
