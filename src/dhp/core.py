@@ -70,23 +70,23 @@ class Reader:
         self.pos += 1
         return value
 
-    def _unpack(self, fmt: struct.Struct) -> int:
-        """One big-endian integer, read in place."""
+    def unpack(self, fmt: struct.Struct) -> tuple:
+        """The fields of one fixed-size layout, read in place."""
         try:
-            (value,) = fmt.unpack_from(self.data, self.pos)
+            values = fmt.unpack_from(self.data, self.pos)
         except struct.error:
             raise EncodingError("frame truncated") from None
         self.pos += fmt.size
-        return value
+        return values
 
     def u16(self) -> int:
-        return self._unpack(_U16)
+        return self.unpack(_U16)[0]
 
     def u32(self) -> int:
-        return self._unpack(_U32)
+        return self.unpack(_U32)[0]
 
     def u64(self) -> int:
-        return self._unpack(_U64)
+        return self.unpack(_U64)[0]
 
     def done(self) -> None:
         if self.pos != len(self.data):
@@ -186,10 +186,13 @@ class HealthPassport:
 
     @cached_property
     def signing_bytes(self) -> bytes:
-        """record_signing_bytes(self), encoded on first use and kept in the
-        instance dict, outside the fields: equality, hashing and repr ignore
-        it, dataclasses.replace builds a record with its own, and an
-        EncodingError is raised on every access, never cached."""
+        """record_signing_bytes(self), kept in the instance dict, outside the
+        fields: equality, hashing and repr ignore it, and
+        dataclasses.replace builds a record with its own. A record parsed
+        from a frame (ledger.read_record) carries the preimage taken from the
+        frame's own bytes, which are its encoding whenever the method code is
+        canonical; any other record encodes it on first use. An EncodingError
+        is raised on every access, never cached."""
         return record_signing_bytes(self)
 
 
@@ -300,6 +303,15 @@ def parse_key_values(text: str, what: str) -> dict[str, str]:
             raise EncodingError(f"{what} line {lineno}: duplicate key {key!r}")
         values[key] = value.strip()
     return values
+
+
+def parse_u64(text: str, what: str) -> int:
+    """A decimal integer from 0 to 2**64 - 1; anything else is an
+    EncodingError naming what."""
+    text = text.strip()
+    if not (text.isascii() and text.isdecimal() and len(text) <= 20 and int(text) < 2**64):
+        raise EncodingError(f"{what} must be an integer from 0 to 2**64 - 1, got {text!r}")
+    return int(text)
 
 
 def method_code_bytes(method: TestMethod) -> bytes:

@@ -147,6 +147,23 @@ _RFC8032_SIGNATURE = bytes.fromhex(
 _ED25519_L = 2**252 + 27742317777372353535851937790883648493
 
 
+#: libsodium's sonames on Linux: 23 up to 1.0.18, 26 from 1.0.19.
+_SODIUM_SONAMES = ("libsodium.so.23", "libsodium.so.26")
+
+
+def _load_sodium() -> ctypes.CDLL | None:
+    """libsodium, loaded by a known soname, which starts no process; failing
+    that, by ctypes.util.find_library, which runs ldconfig (and a compiler
+    where the library is missing). None if neither finds it."""
+    for soname in _SODIUM_SONAMES:
+        try:
+            return ctypes.CDLL(soname)
+        except OSError:
+            continue
+    name = ctypes.util.find_library("sodium")
+    return None if name is None else ctypes.CDLL(name)
+
+
 def _bind_sodium():
     """libsodium's detached Ed25519 verify, or None where it cannot be loaded
     or might accept what OpenSSL refuses.
@@ -156,11 +173,10 @@ def _bind_sodium():
     check only the top bits of S, so the binding is also used only if it takes
     the RFC 8032 signature and refuses it with L added to S, as OpenSSL does.
     """
-    name = ctypes.util.find_library("sodium")
-    if name is None:
-        return None
     try:
-        lib = ctypes.CDLL(name)
+        lib = _load_sodium()
+        if lib is None:
+            return None
         lib.sodium_version_string.restype = ctypes.c_char_p
         version = tuple(int(n) for n in lib.sodium_version_string().split(b".")[:3])
         if version < (1, 0, 18) or lib.sodium_init() < 0:

@@ -34,8 +34,10 @@ from .core import (
     Reader,
     Registry,
     Role,
+    SIGNING_TAG,
     TestMethod,
     TravelDocument,
+    method_code_bytes,
 )
 from .crypto import KeyPair, Salt, commit, sign, verify_sig
 
@@ -350,24 +352,34 @@ def lookup_by_token(state: ChainState, token: DhpToken, doc: TravelDocument) -> 
 
 
 def record_bytes(record: HealthPassport) -> bytes:
-    body = record.signing_bytes[len(b"DHPv1|"):]
+    body = record.signing_bytes[len(SIGNING_TAG):]
     return body + struct.pack(">H", len(record.issuer_signature)) + record.issuer_signature
 
 
+#: A record frame's fixed fields: commitment, result, tested_at and method
+#: length before the method code; issuer id and signature length after it.
+_RECORD_HEAD = struct.Struct(">32sBQB")
+_RECORD_TAIL = struct.Struct(">16sH")
+
+
 def read_record(r: Reader, issuers: dict[bytes, ActorId]) -> HealthPassport:
-    commitment = r.take(32)
-    result_byte = r.u8()
+    """One record frame. Its bytes from the commitment through the issuer id
+    are the signed fields' encoding whenever the method code is canonical,
+    so they become the record's signing_bytes as they stand; with any other
+    method code, signing_bytes raises EncodingError as for a built record."""
+    start = r.pos
+    commitment, result_byte, tested_at, method_len = r.unpack(_RECORD_HEAD)
     if result_byte not in (0, 1):
         raise EncodingError(f"non-canonical result byte {result_byte:#04x}")
-    tested_at = r.u64()
     try:
-        method = TestMethod.named(r.take(r.u8()).decode("utf-8"))
+        method = TestMethod(r.take(method_len).decode("utf-8"))
     except UnicodeDecodeError:
         raise EncodingError("method code is not UTF-8") from None
-    issuer_id = r.take(16)
-    signature = r.take(r.u16())
+    issuer_id, signature_len = r.unpack(_RECORD_TAIL)
+    signed = r.data[start:r.pos - 2]
+    signature = r.take(signature_len)
     issuer = issuers.get(issuer_id, ActorId(role=Role.THF, id=issuer_id, public_key=b""))
-    return HealthPassport(
+    record = HealthPassport(
         commitment=commitment,
         result=bool(result_byte),
         tested_at=tested_at,
@@ -375,6 +387,12 @@ def read_record(r: Reader, issuers: dict[bytes, ActorId]) -> HealthPassport:
         issuer_id=issuer,
         issuer_signature=signature,
     )
+    try:
+        method_code_bytes(method)
+    except EncodingError:
+        return record
+    record.__dict__["signing_bytes"] = SIGNING_TAG + signed
+    return record
 
 
 def parse_record(data: bytes, issuers: dict[bytes, ActorId]) -> HealthPassport:

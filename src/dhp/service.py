@@ -36,6 +36,13 @@ a slot.
 Each node owns its chain through a single writer lock; request handlers read
 immutable snapshots. Appended blocks are persisted to the node's block log
 before they are announced.
+
+An authority announces over one held-open, authenticated link per peer,
+opened at its first use and dropped on any error. It writes each block's
+ANNOUNCE frame to every peer before it reads any ack, so a peer validates
+while the frame goes to the next one. A link that fails after an earlier
+use may be one the peer has since closed (IDLE_TIMEOUT, a restart), so that
+peer gets the block once more on a new link in the same announce.
 """
 
 from __future__ import annotations
@@ -64,6 +71,7 @@ from .core import (
     as_enum,
     canonical_doc_bytes,
     parse_key_values,
+    parse_u64,
     read_doc,
 )
 from .crypto import KeyPair, sign, verify_sig
@@ -229,7 +237,7 @@ def parse_node_config(text: str, base_dir: Path | None = None) -> NodeConfig:
         peers=peers,
         policy_file=policy_file,
         block_interval=block_interval,
-        genesis_time=int(values.get("genesis_time", "0")),
+        genesis_time=parse_u64(values.get("genesis_time", "0"), "genesis_time"),
     )
 
 
@@ -460,12 +468,24 @@ class HsaNode(Node):
         self._tokens: dict[bytes, DhpToken] = {}
         # Peers known to hold the block last announced: none after a start,
         # which may follow a crash between logging and announcing a block, so
-        # the first idle tick re-announces the tip. Proposing thread only.
+        # the first idle tick re-announces the tip.
         self._acked: set[tuple[str, int]] = set()
+        # The held-open link to each peer announced to. _peer_lock guards
+        # these and _acked: propose_once may run on a caller's thread while
+        # the timer thread re-announces.
+        self._links: dict[tuple[str, int], NodeClient] = {}
+        self._peer_lock = threading.RLock()
 
     def start(self) -> None:
         super().start()
         threading.Thread(target=self._propose_loop, daemon=True).start()
+
+    def stop(self) -> None:
+        """Node.stop, then close the peer links; none is opened after."""
+        super().stop()
+        with self._peer_lock:
+            for peer in list(self._links):
+                self._drop(peer)
 
     def dispatch_role(self, member: ActorId, kind: int, r: Reader) -> bytes:
         if kind == MSG_SUBMIT:
@@ -514,10 +534,11 @@ class HsaNode(Node):
         """Send the tip to each peer not known to hold the block last
         announced, so a peer that missed it (perhaps the next scheduled
         authority, which would wait for it forever) catches up."""
-        state = self._state
-        lagging = [peer for peer in self.config.peers if peer not in self._acked]
-        if state.height and lagging:
-            self._acked |= self._announce(state.tip, lagging)
+        with self._peer_lock:
+            state = self._state
+            lagging = [peer for peer in self.config.peers if peer not in self._acked]
+            if state.height and lagging:
+                self._acked |= self._announce(state.tip, lagging)
 
     def propose_once(self) -> Block | None:
         """Propose one block if scheduled and there is work. Returns it."""
@@ -528,7 +549,8 @@ class HsaNode(Node):
             batch = [p.record for p in itertools.islice(self._mempool.values(), MAX_BLOCK_RECORDS)]
             block = propose_block(self._state, batch, self.key, int(time.time()))
             self._apply_block(block)
-        self._acked = self._announce(block, self.config.peers)
+        with self._peer_lock:
+            self._acked = self._announce(block, self.config.peers)
         return block
 
     def _apply_block(self, block: Block) -> bool:
@@ -545,25 +567,59 @@ class HsaNode(Node):
         return held
 
     def _announce(self, block: Block, peers: list[tuple[str, int]]) -> set[tuple[str, int]]:
-        """Send the block to each of peers. One that refuses it is sent the
-        blocks after its head, in order, up to this one or the first refusal.
-        Returns the peers that hold this block."""
+        """Send the block to each of peers, to all of them before reading any
+        ack. One that refuses it is sent the blocks after its head, in order,
+        up to this one or the first refusal. A peer whose link was already
+        open and fails is tried once more on a new link. Returns the peers
+        that hold this block."""
+        frame = bytes((MSG_ANNOUNCE,)) + block_bytes(block)
         acked = set()
-        for peer in peers:
-            try:
-                with NodeClient.connect(*peer, key=self.key, registry=self.registry) as client:
-                    held = client.announce_block(block)
-                    if not held:
-                        head = client.get_head()
-                        for missing in self._state.blocks[head.height + 1 : block.header.height + 1]:
-                            held = client.announce_block(missing)
-                            if not held:
-                                break
-                if held:
-                    acked.add(peer)
-            except (OSError, DhpError):
-                continue
+        with self._peer_lock:
+            sent = {peer: self._send(peer, frame) for peer in peers}
+            for peer, reused in sent.items():
+                while reused is not None:
+                    try:
+                        if self._held_after(self._links[peer], block):
+                            acked.add(peer)
+                        break
+                    except (OSError, DhpError):
+                        self._drop(peer)
+                        reused = self._send(peer, frame) if reused else None
         return acked
+
+    def _send(self, peer: tuple[str, int], frame: bytes) -> bool | None:
+        """Send frame to peer on its link, opening one if there is none and
+        the node is not stopping. Returns whether the link was open before,
+        or None if the frame was not sent. A link already open that fails is
+        replaced once by a new one."""
+        reused = peer in self._links
+        try:
+            if not reused:
+                if self._stop.is_set():
+                    return None
+                self._links[peer] = NodeClient.connect(*peer, key=self.key, registry=self.registry)
+            self._links[peer].send(frame)
+            return reused
+        except (OSError, DhpError):
+            self._drop(peer)
+        return self._send(peer, frame) if reused else None
+
+    def _held_after(self, link: NodeClient, block: Block) -> bool:
+        """Whether the peer holds block once it has read block's ANNOUNCE,
+        already sent on link, and the blocks after its head if it refused."""
+        held = _read_ack(link.receive())
+        if not held:
+            head = link.get_head()
+            for missing in self._state.blocks[head.height + 1 : block.header.height + 1]:
+                held = link.announce_block(missing)
+                if not held:
+                    break
+        return held
+
+    def _drop(self, peer: tuple[str, int]) -> None:
+        link = self._links.pop(peer, None)
+        if link is not None:
+            link.close()
 
 
 class BmNode(Node):
@@ -650,10 +706,19 @@ class NodeClient:
     def close(self) -> None:
         self._sock.close()
 
+    def send(self, payload: bytes) -> None:
+        """Send one message; receive() reads the reply."""
+        send_frame(self._sock, payload)
+
+    def receive(self) -> bytes:
+        """The reply to the oldest message not yet answered; an ERROR reply
+        raises."""
+        return _reply(recv_frame(self._sock))
+
     def request(self, payload: bytes) -> bytes:
         """Send one message and return the reply; an ERROR reply raises."""
-        send_frame(self._sock, payload)
-        return _reply(recv_frame(self._sock))
+        self.send(payload)
+        return self.receive()
 
     def submit_dhp(self, pending: PendingDhp) -> tuple[bytes, bool]:
         reply = _body(self.request(bytes((MSG_SUBMIT,)) + pending_bytes(pending)), MSG_SUBMIT_ACK)
@@ -692,8 +757,12 @@ class NodeClient:
         return _body(self.request(payload), MSG_OUTCOME).finish(_read_outcome, self._registry)
 
     def announce_block(self, block: Block) -> bool:
-        reply = _body(self.request(bytes((MSG_ANNOUNCE,)) + block_bytes(block)), MSG_ANNOUNCE_ACK)
-        return reply.finish(Reader.flag)
+        return _read_ack(self.request(bytes((MSG_ANNOUNCE,)) + block_bytes(block)))
+
+
+def _read_ack(reply: bytes) -> bool:
+    """Whether an ANNOUNCE reply says the peer holds the block."""
+    return _body(reply, MSG_ANNOUNCE_ACK).finish(Reader.flag)
 
 
 def build_node(config: NodeConfig) -> Node:

@@ -28,7 +28,7 @@ import struct
 import threading
 from pathlib import Path
 
-from .core import ActorId, DhpError, EncodingError, Registry, Role
+from .core import ActorId, DhpError, EncodingError, Registry, Role, parse_u64
 from .crypto import KeyPair, actor_id_for, derive_public, usable_public_key
 from .ledger import Block, ChainState, InvalidBlock, append_block, block_bytes, parse_block
 from .protocol import VerificationReceipt, parse_receipt_frame, receipt_frame_bytes
@@ -206,10 +206,7 @@ def read_genesis_time(data_dir: Path | str) -> int:
     path = Path(data_dir) / "genesis.txt"
     if not path.exists():
         return 0
-    try:
-        return int(path.read_text().strip())
-    except ValueError:
-        raise EncodingError("genesis.txt must hold an integer timestamp") from None
+    return parse_u64(path.read_text(), "genesis.txt")
 
 
 def write_genesis_time(data_dir: Path | str, genesis_time: int) -> None:

@@ -208,6 +208,18 @@ def test_libsodium_is_bound_where_installed():
     assert crypto._sodium_verify is not None
 
 
+@pytest.mark.skipif((installed_sodium_version() or (0,)) < (1, 0, 18), reason="no libsodium 1.0.18 or later")
+def test_libsodium_is_bound_without_find_library(monkeypatch):
+    """The known sonames are tried first, so binding starts no ldconfig or
+    compiler process where libsodium is installed under one of them."""
+
+    def no_search(name):
+        raise AssertionError("find_library was called")
+
+    monkeypatch.setattr(ctypes.util, "find_library", no_search)
+    assert crypto._bind_sodium() is not None
+
+
 def test_openssl_refuses_the_rfc8032_signature_with_l_added_to_s():
     """The vector _bind_sodium checks a library against: OpenSSL takes the
     signature and refuses its twin with S + L, which has the same top bits."""

@@ -3,18 +3,29 @@ DhpError, never in an exception that would kill the thread reading it.
 
 Frames come from the seeded wire of test_golden. Client replies are fed over
 a socket pair; the fuzz tests cut, extend and overwrite bytes of valid frames
-and decode them in process.
+and decode them in process. A parsed record's preimage, taken from the frame,
+is checked against the one its fields encode to.
 """
 
 import socket
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhp.core import DhpError, EncodingError, Reader, canonical_doc_bytes, decode_doc_bytes
-from dhp.ledger import block_bytes, header_bytes, parse_block, parse_header, parse_token, token_bytes
-from dhp.protocol import parse_pending, parse_receipt_frame, pending_bytes
+from dhp.core import DhpError, EncodingError, Reader, canonical_doc_bytes, decode_doc_bytes, record_signing_bytes
+from dhp.ledger import (
+    block_bytes,
+    header_bytes,
+    parse_block,
+    parse_header,
+    parse_record,
+    parse_token,
+    record_bytes,
+    token_bytes,
+)
+from dhp.protocol import parse_pending, parse_receipt_frame, pending_bytes, thf_issue
 from dhp.storage import BLOCK_LOG_MAGIC, LOG_VERSION, read_frames
 from dhp.service import (
     MSG_ANNOUNCE,
@@ -29,7 +40,7 @@ from dhp.service import (
     send_frame,
 )
 
-from conftest import make_doc
+from conftest import Consortium, make_doc
 from test_golden import AUTH_FRAME, NONCE, OUTCOME_REPLY, RECEIPT_FRAME, VERIFY_REQUEST, build_wire
 from test_protocol import T0
 
@@ -157,3 +168,53 @@ def test_decoders_are_total(wire, name, data):
 def test_fuzzed_frames_start_out_valid(wire):
     for name, (frame, decode) in decoders(wire).items():
         decode(frame)
+
+
+# --- a parsed record's preimage --------------------------------------------------
+
+CONSORTIUM = Consortium()
+ISSUERS = CONSORTIUM.registry.issuers()
+RECORD_FRAME = record_bytes(
+    thf_issue(CONSORTIUM.thf_keys[0], make_doc(1), True, CONSORTIUM.method, T0, now=T0, rng=Random(1)).record
+)
+METHOD_CODES = ["RT-qPCR", "RT qPCR", "RT-qPCR\n", "\tPCR", "\x85", "\u3000x", "", "a" * 255, "\u00e9"]
+
+
+@st.composite
+def record_frames(draw):
+    """A record frame field by field: any result byte and method code bytes
+    (canonical, with whitespace, empty, not UTF-8), a registered or unknown
+    issuer, and a signature of any length."""
+    method = draw(st.one_of(
+        st.sampled_from(METHOD_CODES).map(str.encode),
+        st.text(max_size=12).map(str.encode),
+        st.binary(max_size=12),
+    ))
+    issuer = draw(st.one_of(st.sampled_from(sorted(ISSUERS)), st.binary(min_size=16, max_size=16)))
+    signature = draw(st.binary(max_size=80))
+    return b"".join((
+        draw(st.binary(min_size=32, max_size=32)),
+        bytes((draw(st.integers(0, 2)),)),
+        draw(st.integers(0, 2**64 - 1)).to_bytes(8, "big"),
+        bytes((len(method),)), method, issuer,
+        len(signature).to_bytes(2, "big"), signature,
+    ))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(frame=record_frames() | variants(RECORD_FRAME))
+def test_a_parsed_record_signs_its_canonical_encoding(frame):
+    """For every frame read_record accepts, the preimage it keeps is the one
+    record_signing_bytes encodes, or both raise EncodingError. Frames are
+    built field by field, or cut, extended or overwritten from a valid one."""
+    try:
+        record = parse_record(frame, ISSUERS)
+    except EncodingError:
+        return
+    try:
+        expected = record_signing_bytes(record)
+    except EncodingError:
+        with pytest.raises(EncodingError):
+            record.signing_bytes
+        return
+    assert record.signing_bytes == expected

@@ -1,15 +1,18 @@
 import hashlib
+import struct
 from dataclasses import replace
 from random import Random
 
 import pytest
 
-from dhp.core import EncodingError, Role, TestMethod, record_signing_bytes
+from dhp.core import SIGNING_TAG, EncodingError, Role, TestMethod, record_signing_bytes
 from dhp.crypto import Salt, sign
 from dhp.ledger import (
+    LEAF_TAG,
     MAX_BLOCK_RECORDS,
     Block,
     BlockError,
+    BlockHeader,
     ChainState,
     DhpToken,
     EmptyAuthoritySet,
@@ -35,7 +38,7 @@ from dhp.ledger import (
     validate_block,
 )
 from dhp.protocol import thf_issue
-from dhp.storage import BlockLog, replay_block_log
+from dhp.storage import BLOCK_LOG_MAGIC, LOG_VERSION, BlockLog, CorruptLog, replay_block_log
 
 from conftest import Consortium, make_doc, seeded_key
 
@@ -497,6 +500,37 @@ def test_record_frame_strictness(consortium):
     data[32] = 0x03  # non-canonical result byte
     with pytest.raises(EncodingError):
         parse_record(bytes(data), consortium.state.issuer_registry)
+
+
+def test_a_method_code_signed_over_its_raw_frame_bytes_is_refused(consortium, tmp_path):
+    """A record whose method code has whitespace in it has no canonical
+    encoding, so no signature is valid for it, even one its facility made
+    over the frame's raw bytes under a Merkle root of those very bytes.
+    validate_block and strict replay refuse it as BadRecordSig."""
+    c = consortium
+    good = issue(c, 7).record
+    code = b"RT qPCR"
+    signed = record_bytes(good)[:41] + bytes((len(code),)) + code + good.issuer_id.id
+    signature = sign(c.thf_keys[0], SIGNING_TAG + signed)
+    hsa = c.hsa_keys[1]
+    header = BlockHeader(
+        height=1,
+        prev_hash=header_hash(c.state.tip.header),
+        merkle_root=hashlib.sha256(LEAF_TAG + SIGNING_TAG + signed + signature).digest(),
+        authority_id=hsa.owner,
+        block_time=T0 + 120,
+        authority_signature=b"",
+    )
+    header = replace(header, authority_signature=sign(hsa, header_signing_bytes(header)))
+    frame = header_bytes(header) + struct.pack(">I", 1) + signed + struct.pack(">H", len(signature)) + signature
+    block = parse_block(frame, c.registry)
+    assert block.records[0].method == TestMethod("RT qPCR")
+    assert validate_block(c.state, block, T0 + 200) is BlockError.BAD_RECORD_SIG
+    path = tmp_path / "blocks.log"
+    path.write_bytes(BLOCK_LOG_MAGIC + bytes((LOG_VERSION,)) + struct.pack(">I", len(frame)) + frame)
+    with pytest.raises(CorruptLog) as err:
+        replay_block_log(path, c.registry, T0 + 200, strict=True, genesis_time=c.genesis_time)
+    assert (err.value.offset, err.value.reason) == (5, "invalid block: BadRecordSig")
 
 
 def test_header_and_block_frame_round_trip(consortium):

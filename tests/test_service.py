@@ -390,11 +390,11 @@ def test_two_authorities_alternate_over_sockets(tmp_path):
             node.stop()
 
 
-def parked_authorities(tmp_path, num_hsa, block_interval=3600):
+def parked_authorities(tmp_path, num_hsa, block_interval=3600, num_bm=0):
     """Every authority of a registry, started and each the others' peer.
     With the default interval their timers never cut a block: blocks are
     made by calling propose_once()."""
-    c = Consortium(num_hsa=num_hsa, num_thf=1, num_bm=0, genesis_time=0)
+    c = Consortium(num_hsa=num_hsa, num_thf=1, num_bm=num_bm, genesis_time=0)
     save_registry(tmp_path / "registry.txt", c.registry)
     nodes = []
     for i, key in enumerate(c.hsa_keys):
@@ -491,6 +491,113 @@ def test_an_authority_that_missed_a_block_gets_it_before_its_turn(tmp_path):
     finally:
         for node in nodes:
             node.stop()
+
+
+def start_member(tmp_path, c, i, listen=("127.0.0.1", 0)):
+    """Member i of c, started on tmp_path/bm{i} next to parked_authorities'
+    registry."""
+    save_keypair(tmp_path / f"bm{i}.key", c.bm_keys[i])
+    (tmp_path / "policy.txt").write_text(POLICY_TEXT)
+    member = BmNode(NodeConfig(
+        role=Role.BM,
+        listen=listen,
+        data_dir=tmp_path / f"bm{i}",
+        registry_file=tmp_path / "registry.txt",
+        key_file=tmp_path / f"bm{i}.key",
+        policy_file=tmp_path / "policy.txt",
+    ))
+    member.start()
+    return member
+
+
+@pytest.fixture
+def linked(tmp_path):
+    """The only authority of its registry, its timer parked, announcing to
+    two members."""
+    c, (hsa,) = parked_authorities(tmp_path, 1, num_bm=2)
+    members = [start_member(tmp_path, c, i) for i in range(2)]
+    hsa.config.peers = [m.address for m in members]
+    yield c, hsa, members
+    hsa.stop()
+    for member in members:
+        member.stop()
+
+
+def submit(node, c, i):
+    """Submit credential i to node on a connection of its own."""
+    with connect(node, c.thf_keys[0], c.registry) as client:
+        client.submit_dhp(issue(c, i))
+
+
+def test_an_authority_connects_to_each_peer_once(linked, monkeypatch):
+    """Five blocks to two peers open two links, one per peer, and every
+    block is held by both when propose_once returns."""
+    c, hsa, members = linked
+    opened, connect_ = [], NodeClient.connect.__func__
+
+    def counting(cls, host, port, **kwargs):
+        opened.append((host, port))
+        return connect_(cls, host, port, **kwargs)
+
+    with connect(hsa, c.thf_keys[0], c.registry) as client:
+        monkeypatch.setattr(NodeClient, "connect", classmethod(counting))
+        for i in range(5):
+            client.submit_dhp(issue(c, 100 + i))
+            block = hsa.propose_once()
+            assert hsa._acked == set(hsa.config.peers)
+            assert all(m.state.tip == block for m in members)
+    assert sorted(opened) == sorted(hsa.config.peers)
+
+
+def test_a_link_the_peer_closed_when_idle_is_replaced_in_the_same_announce(linked, monkeypatch):
+    c, hsa, members = linked
+    monkeypatch.setattr("dhp.service.IDLE_TIMEOUT", 0.3)
+    submit(hsa, c, 110)
+    hsa.propose_once()
+    stale = dict(hsa._links)
+    time.sleep(1.0)  # each member has closed its end of the link
+    submit(hsa, c, 111)
+    block = hsa.propose_once()
+    assert hsa._acked == set(hsa.config.peers)
+    assert all(m.state.tip == block for m in members)
+    assert all(hsa._links[peer] is not stale[peer] for peer in hsa.config.peers)
+
+
+def test_a_restarted_peer_gets_the_next_block_in_the_same_announce(linked, tmp_path):
+    c, hsa, members = linked
+    submit(hsa, c, 112)
+    hsa.propose_once()
+    address = members[0].address
+    members[0].stop()
+    reborn = start_member(tmp_path, c, 0, listen=address)
+    try:
+        submit(hsa, c, 113)
+        block = hsa.propose_once()
+        assert hsa._acked == set(hsa.config.peers)
+        assert reborn.state.tip == block and reborn.state.height == 2
+    finally:
+        reborn.stop()
+
+
+def test_a_stopped_authority_frees_its_peer_s_slot(tmp_path, monkeypatch):
+    """The link holds the member's only slot until the authority stops."""
+    monkeypatch.setattr("dhp.service.MAX_CONNECTIONS", 1)
+    c, (hsa,) = parked_authorities(tmp_path, 1, num_bm=1)
+    member = start_member(tmp_path, c, 0)
+    hsa.config.peers = [member.address]
+    try:
+        submit(hsa, c, 120)
+        hsa.propose_once()
+        assert hsa._acked == {member.address}
+        with pytest.raises(ServiceError) as err:
+            connect(member, c.thf_keys[0], c.registry)
+        assert err.value.code == ERR_REJECTED
+        hsa.stop()
+        with connect_when_free(member, c) as client:
+            assert client.get_head().height == 1
+    finally:
+        hsa.stop()
+        member.stop()
 
 
 def test_propose_once_logs_before_it_publishes(solo, monkeypatch):
@@ -944,8 +1051,20 @@ def test_parse_node_config_env_override(tmp_path, monkeypatch):
             f"role = hsa\nlisten = 1.2.3.4:1\ndata_dir = d\nregistry = r\nkey = k\nblock_interval = {value}\n"
             for value in ("0", "-1", "nan", "inf", "abc")
         ),
+        *(
+            f"role = hsa\nlisten = 1.2.3.4:1\ndata_dir = d\nregistry = r\nkey = k\ngenesis_time = {value}\n"
+            for value in ("-1", str(2**64), "1.5")
+        ),
     ],
 )
 def test_parse_node_config_errors(text, tmp_path):
     with pytest.raises(EncodingError):
         parse_node_config(text, base_dir=tmp_path)
+
+
+def test_parse_node_config_genesis_time_bounds(tmp_path):
+    base = "role = hsa\nlisten = 1.2.3.4:1\ndata_dir = d\nregistry = r\nkey = k\n"
+    assert parse_node_config(base, base_dir=tmp_path).genesis_time == 0
+    assert parse_node_config(base + f"genesis_time = {2**64 - 1}\n", base_dir=tmp_path).genesis_time == 2**64 - 1
+    with pytest.raises(EncodingError, match="genesis_time"):
+        parse_node_config(base + "genesis_time = -1\n", base_dir=tmp_path)

@@ -19,9 +19,11 @@ from dhp.storage import (
     parse_manifest,
     parse_registry,
     format_registry,
+    read_genesis_time,
     replay_block_log,
     save_keypair,
     save_registry,
+    write_genesis_time,
 )
 
 from conftest import Consortium, make_doc, seeded_key
@@ -303,6 +305,20 @@ def test_a_write_that_fails_part_way_is_cut_off_the_log(tmp_path, consortium):
         assert path.stat().st_size == size
         log.append(third)
         assert log.read_all(consortium.registry) == [first, third]
+
+
+def test_genesis_time_round_trips_up_to_the_u64_bound(tmp_path):
+    assert read_genesis_time(tmp_path) == 0
+    for value in (0, 1_700_000_000, 2**64 - 1):
+        write_genesis_time(tmp_path, value)
+        assert read_genesis_time(tmp_path) == value
+
+
+@pytest.mark.parametrize("text", ["-1", str(2**64), "1.5", "abc", "", "\u00b2", "9" * 5000])
+def test_genesis_time_outside_u64_is_refused(tmp_path, text):
+    (tmp_path / "genesis.txt").write_text(text + "\n")
+    with pytest.raises(EncodingError, match="genesis.txt"):
+        read_genesis_time(tmp_path)
 
 
 def test_registry_text_round_trip(consortium):
