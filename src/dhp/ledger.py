@@ -39,7 +39,7 @@ from .core import (
     TravelDocument,
     method_code_bytes,
 )
-from .crypto import KeyPair, Salt, commit, sign, verify_sig
+from .crypto import SIGNATURE_LEN, KeyPair, Salt, commit, sign, verify_sig
 
 LEAF_TAG = b"LEAF|"
 NODE_TAG = b"NODE|"
@@ -174,17 +174,15 @@ def merkle_root(records: tuple[HealthPassport, ...] | list[HealthPassport]) -> b
     return layer[0]
 
 
+#: A header's fixed fields: height, previous hash, Merkle root, authority id
+#: and block time. Its signature's u16 length and bytes follow on the wire.
+_HEADER = struct.Struct(">Q32s32s16sQ")
+
+
 def header_signing_bytes(header: BlockHeader) -> bytes:
     """Canonical header preimage, excluding the authority signature."""
-    return b"".join(
-        (
-            HEADER_TAG,
-            struct.pack(">Q", header.height),
-            header.prev_hash,
-            header.merkle_root,
-            header.authority_id.id,
-            struct.pack(">Q", header.block_time),
-        )
+    return HEADER_TAG + _HEADER.pack(
+        header.height, header.prev_hash, header.merkle_root, header.authority_id.id, header.block_time
     )
 
 
@@ -360,6 +358,13 @@ def record_bytes(record: HealthPassport) -> bytes:
 #: length before the method code; issuer id and signature length after it.
 _RECORD_HEAD = struct.Struct(">32sBQB")
 _RECORD_TAIL = struct.Struct(">16sH")
+#: The longest frame of a block validate_block can accept: a header with its
+#: signature, the u32 record count, and MAX_BLOCK_RECORDS records whose method
+#: codes fill their u8 length, each with a signature of SIGNATURE_LEN.
+MAX_BLOCK_BYTES = (
+    _HEADER.size + 2 + SIGNATURE_LEN + 4
+    + MAX_BLOCK_RECORDS * (_RECORD_HEAD.size + 0xFF + _RECORD_TAIL.size + SIGNATURE_LEN)
+)
 
 
 def read_record(r: Reader, issuers: dict[bytes, ActorId]) -> HealthPassport:
@@ -408,11 +413,7 @@ def header_bytes(header: BlockHeader) -> bytes:
 
 
 def read_header(r: Reader, authorities: dict[bytes, ActorId]) -> BlockHeader:
-    height = r.u64()
-    prev_hash = r.take(32)
-    merkle = r.take(32)
-    authority_id = r.take(16)
-    block_time = r.u64()
+    height, prev_hash, merkle, authority_id, block_time = r.unpack(_HEADER)
     signature = r.take(r.u16())
     authority = authorities.get(authority_id, ActorId(role=Role.HSA, id=authority_id, public_key=b""))
     return BlockHeader(

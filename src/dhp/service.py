@@ -1,10 +1,11 @@
 """Node daemons and the consortium wire protocol.
 
 Transport is a plain reliable stream carrying length-prefixed frames
-(u32-BE length + payload); each payload is one message: a type byte plus a
-canonical body. Members authenticate per connection with a signature
-challenge-response against the consortium registry - no certificate
-hierarchy, the registry is the trust root.
+(u32-BE length + payload, at most MAX_FRAME: the longest valid message);
+each payload is one message: a type byte plus a canonical body. Members
+authenticate per connection with a signature challenge-response against the
+consortium registry - no certificate hierarchy, the registry is the trust
+root.
 
     0x01 CHALLENGE   server -> client   32-byte nonce
     0x02 AUTH        client -> server   role(1) id(16) siglen(2) sig
@@ -37,12 +38,12 @@ Each node owns its chain through a single writer lock; request handlers read
 immutable snapshots. Appended blocks are persisted to the node's block log
 before they are announced.
 
-An authority announces over one held-open, authenticated link per peer,
-opened at its first use and dropped on any error. It writes each block's
-ANNOUNCE frame to every peer before it reads any ack, so a peer validates
-while the frame goes to the next one. A link that fails after an earlier
-use may be one the peer has since closed (IDLE_TIMEOUT, a restart), so that
-peer gets the block once more on a new link in the same announce.
+An authority sends blocks to its peers by one path: after each block it
+makes, and at each idle tick while a peer has not acked its tip, it writes
+the tip's ANNOUNCE frame to every such peer before it reads any ack, and
+sends one that refuses the blocks after its head. Each peer has one held-open
+authenticated link, dropped on any error; a peer whose open link failed (it
+may have closed it) gets a second pass on a new link.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ from .core import (
 )
 from .crypto import KeyPair, sign, verify_sig
 from .ledger import (
+    MAX_BLOCK_BYTES,
     MAX_BLOCK_RECORDS,
     Block,
     BlockError,
@@ -110,10 +112,20 @@ from .protocol import (
     read_pending,
     receipt_frame_bytes,
 )
-from .storage import BlockLog, ReceiptLog, load_keypair, load_registry, save_registry, write_genesis_time
+from .storage import (
+    BlockLog,
+    CorruptLog,
+    ReceiptLog,
+    load_keypair,
+    load_registry,
+    registry_mismatch,
+    save_registry,
+    write_genesis_time,
+)
 
 AUTH_TAG = b"DHPA1|"
-MAX_FRAME = 4 * 1024 * 1024
+#: The longest valid message: the ANNOUNCE or BLOCK of the longest block.
+MAX_FRAME = 1 + MAX_BLOCK_BYTES
 #: Pending credentials an authority holds; a submit past it is refused.
 MAX_MEMPOOL = 4 * MAX_BLOCK_RECORDS
 #: Connections a node serves at once, one thread each; one past it is refused.
@@ -121,6 +133,8 @@ MAX_CONNECTIONS = 64
 #: Seconds a connection has to answer the challenge, and to send its next request.
 AUTH_TIMEOUT = 5.0
 IDLE_TIMEOUT = 60.0
+#: Seconds between a serving node's checks for a stop.
+STOP_POLL = 0.05
 
 MSG_CHALLENGE = 0x01
 MSG_AUTH = 0x02
@@ -349,7 +363,13 @@ class Node:
         write_genesis_time(config.data_dir, config.genesis_time)
         self._lock = threading.RLock()
         self._log = BlockLog(config.data_dir / "blocks.log")
-        self._state = self._log.recover(self.registry, int(time.time()), config.genesis_time)
+        now = int(time.time())
+        try:
+            self._state = self._log.recover(self.registry, now, config.genesis_time)
+        except CorruptLog as exc:
+            self._log.close()
+            built = load_registry(local_registry)
+            raise registry_mismatch(self._log.path, built, self.registry, now, config.genesis_time) or exc
         self._server: _Server | None = None
         self._stop = threading.Event()
 
@@ -358,7 +378,7 @@ class Node:
     def start(self) -> None:
         self._server = _Server(self.config.listen, _Handler)
         self._server.node = self  # type: ignore[attr-defined]
-        threading.Thread(target=self._server.serve_forever, daemon=True).start()
+        threading.Thread(target=self._server.serve_forever, args=(STOP_POLL,), daemon=True).start()
 
     def stop(self) -> None:
         """Stop serving and close the node's logs: a handler or proposer
@@ -526,19 +546,9 @@ class HsaNode(Node):
         while not self._stop.wait(self.config.block_interval):
             try:
                 if self.propose_once() is None:
-                    self._reannounce()
+                    self._announce()
             except (DhpError, OSError):
                 continue
-
-    def _reannounce(self) -> None:
-        """Send the tip to each peer not known to hold the block last
-        announced, so a peer that missed it (perhaps the next scheduled
-        authority, which would wait for it forever) catches up."""
-        with self._peer_lock:
-            state = self._state
-            lagging = [peer for peer in self.config.peers if peer not in self._acked]
-            if state.height and lagging:
-                self._acked |= self._announce(state.tip, lagging)
 
     def propose_once(self) -> Block | None:
         """Propose one block if scheduled and there is work. Returns it."""
@@ -550,7 +560,8 @@ class HsaNode(Node):
             block = propose_block(self._state, batch, self.key, int(time.time()))
             self._apply_block(block)
         with self._peer_lock:
-            self._acked = self._announce(block, self.config.peers)
+            self._acked = set()
+            self._announce()
         return block
 
     def _apply_block(self, block: Block) -> bool:
@@ -566,43 +577,39 @@ class HsaNode(Node):
                         self._tokens[record.commitment] = DhpToken(block_hash, pos, pending.salt)
         return held
 
-    def _announce(self, block: Block, peers: list[tuple[str, int]]) -> set[tuple[str, int]]:
-        """Send the block to each of peers, to all of them before reading any
-        ack. One that refuses it is sent the blocks after its head, in order,
-        up to this one or the first refusal. A peer whose link was already
-        open and fails is tried once more on a new link. Returns the peers
-        that hold this block."""
-        frame = bytes((MSG_ANNOUNCE,)) + block_bytes(block)
-        acked = set()
+    def _announce(self) -> None:
+        """Bring each peer not known to hold the tip up to it: send the tip to
+        all of them, then read each ack and catch up each refusal. A peer
+        whose link was open before and has since been dropped (the peer may
+        have closed it) gets a second pass on a new link."""
         with self._peer_lock:
-            sent = {peer: self._send(peer, frame) for peer in peers}
-            for peer, reused in sent.items():
-                while reused is not None:
+            tip = self._state.tip
+            lagging = [peer for peer in self.config.peers if peer not in self._acked]
+            if self._stop.is_set() or not tip.header.height or not lagging:
+                return
+            frame = bytes((MSG_ANNOUNCE,)) + block_bytes(tip)
+            was_open = set(self._links)
+            for _ in range(2):
+                sent = [peer for peer in lagging if self._send(peer, frame)]
+                for peer in sent:
                     try:
-                        if self._held_after(self._links[peer], block):
-                            acked.add(peer)
-                        break
+                        if self._held_after(self._links[peer], tip):
+                            self._acked.add(peer)
                     except (OSError, DhpError):
                         self._drop(peer)
-                        reused = self._send(peer, frame) if reused else None
-        return acked
+                lagging = [peer for peer in lagging if peer in was_open and peer not in self._links]
 
-    def _send(self, peer: tuple[str, int], frame: bytes) -> bool | None:
-        """Send frame to peer on its link, opening one if there is none and
-        the node is not stopping. Returns whether the link was open before,
-        or None if the frame was not sent. A link already open that fails is
-        replaced once by a new one."""
-        reused = peer in self._links
+    def _send(self, peer: tuple[str, int], frame: bytes) -> bool:
+        """Whether frame was sent to peer on its link, opened if there is
+        none. A link that fails is dropped."""
         try:
-            if not reused:
-                if self._stop.is_set():
-                    return None
+            if peer not in self._links:
                 self._links[peer] = NodeClient.connect(*peer, key=self.key, registry=self.registry)
             self._links[peer].send(frame)
-            return reused
+            return True
         except (OSError, DhpError):
             self._drop(peer)
-        return self._send(peer, frame) if reused else None
+            return False
 
     def _held_after(self, link: NodeClient, block: Block) -> bool:
         """Whether the peer holds block once it has read block's ANNOUNCE,

@@ -48,6 +48,36 @@ class CorruptLog(DhpError):
         self.reason = reason
 
 
+class RegistryMismatch(DhpError):
+    """The block log does not replay under the configured registry but does
+    under the one the node's data dir was built with, from which it differs
+    in its authorities or issuers. Each member is named, so the registry is
+    blamed and not the disk."""
+
+
+def registry_mismatch(
+    path: Path | str, built: Registry, configured: Registry, now: int, genesis_time: int = 0
+) -> RegistryMismatch | None:
+    """The error for the block log at path, which does not replay under
+    configured: a RegistryMismatch naming each member a replay reads (the
+    authorities, in schedule order, and the issuers) that configured adds to
+    or removes from built. None if the registry is not the cause: the two
+    agree on those members, or the log does not replay under built either."""
+    if built.authorities() == configured.authorities() and built.issuers() == configured.issuers():
+        return None
+    try:
+        replay_block_log(path, built, now, genesis_time=genesis_time)
+    except CorruptLog:
+        return None
+    before, after = (set(r.authorities()) | set(r.issuers().values()) for r in (built, configured))
+    names = [f"added {m.label()}" for m in configured.members if m in after - before]
+    names += [f"removed {m.label()}" for m in built.members if m in before - after]
+    return RegistryMismatch(
+        "the block log does not replay under the configured registry, which differs from the data dir's: "
+        + (", ".join(names) or "authorities reordered")
+    )
+
+
 def _open_log(path: Path, magic: bytes) -> None:
     """Create a log, or trim its torn tail so the next append starts on a
     frame boundary."""

@@ -12,7 +12,7 @@ from random import Random
 
 import pytest
 
-from dhp.core import EncodingError, Role, canonical_doc_bytes
+from dhp.core import EncodingError, Registry, Role, TestMethod, canonical_doc_bytes
 from dhp.ledger import (
     MAX_BLOCK_RECORDS,
     Block,
@@ -34,6 +34,7 @@ from dhp.service import (
     ERR_WRONG_ROLE,
     BmNode,
     HsaNode,
+    MAX_FRAME,
     MSG_ANNOUNCE,
     MSG_ANNOUNCE_ACK,
     MSG_AUTH_OK,
@@ -46,11 +47,12 @@ from dhp.service import (
     NodeClient,
     NodeConfig,
     ServiceError,
+    _Handler,
     parse_node_config,
     recv_frame,
     send_frame,
 )
-from dhp.storage import ReceiptLog, replay_block_log, save_keypair, save_registry
+from dhp.storage import CorruptLog, ReceiptLog, RegistryMismatch, replay_block_log, save_keypair, save_registry
 
 from conftest import Consortium, make_doc, seeded_key
 from test_protocol import POLICY_TEXT
@@ -600,6 +602,24 @@ def test_a_stopped_authority_frees_its_peer_s_slot(tmp_path, monkeypatch):
         member.stop()
 
 
+def test_a_peer_slow_to_challenge_still_gets_each_block(net):
+    """The member sends its challenge 0.3 s after it accepts a link: longer
+    than the authority's block_interval, well inside the 5 s a reply may
+    take. The link still forms and the member acks the block."""
+    c, hsa, bm = net
+
+    class SlowToChallenge(_Handler):
+        def handle(self):
+            time.sleep(0.3)
+            super().handle()
+
+    bm._server.RequestHandlerClass = SlowToChallenge
+    with connect(hsa, c.thf_keys[0], c.registry) as client:
+        client.wait_for_token(client.submit_dhp(issue(c, 125))[0])
+    assert wait_until(lambda: hsa._acked == {bm.address})
+    assert bm.state.tip == hsa.state.tip
+
+
 def test_propose_once_logs_before_it_publishes(solo, monkeypatch):
     """A block the log refuses is neither published nor credited: the record
     stays pending and goes into the next block."""
@@ -975,20 +995,19 @@ def test_member_that_missed_an_announce_catches_up_on_the_next(net, monkeypatch)
     """Blocks 1 and 2 are made while the member is not a peer; the next
     announce to it is refused, so the authority sends it the blocks it lacks."""
     c, hsa, bm = net
-    announced = threading.Semaphore(0)
+    announced = []
     announce = hsa._announce
 
-    def announce_then_signal(block, peers):
-        acked = announce(block, peers)
-        announced.release()
-        return acked
+    def announce_then_record():
+        announce()
+        announced.append(hsa.state.height)
 
-    monkeypatch.setattr(hsa, "_announce", announce_then_signal)
+    monkeypatch.setattr(hsa, "_announce", announce_then_record)
     hsa.config.peers = []
     with connect(hsa, c.thf_keys[0], c.registry) as client:
-        for i in (83, 84):
+        for height, i in ((1, 83), (2, 84)):
             client.wait_for_token(client.submit_dhp(issue(c, i))[0])
-            assert announced.acquire(timeout=5)  # the block went to no one
+            assert wait_until(lambda: height in announced)  # the block went to no one
         hsa.config.peers = [bm.address]
         for i in (85, 86):
             client.wait_for_token(client.submit_dhp(issue(c, i))[0])
@@ -997,6 +1016,100 @@ def test_member_that_missed_an_announce_catches_up_on_the_next(net, monkeypatch)
     assert chain_bytes(bm.state) == chain_bytes(hsa.state)
     replayed, _ = replay_block_log(bm._log.path, c.registry, int(time.time()), strict=True)
     assert replayed.tip == hsa.state.tip
+
+
+def three_block_authority(tmp_path, c):
+    """The config of c's first authority, whose data dir holds a 3-block log
+    made under c's registry with a credential of each facility per block."""
+    save_registry(tmp_path / "registry.txt", c.registry)
+    save_keypair(tmp_path / "hsa0.key", c.hsa_keys[0])
+    config = NodeConfig(
+        role=Role.HSA,
+        listen=("127.0.0.1", 0),
+        data_dir=tmp_path / "hsa0",
+        registry_file=tmp_path / "registry.txt",
+        key_file=tmp_path / "hsa0.key",
+    )
+    node, now = HsaNode(config), int(time.time())
+    try:
+        for height in range(1, 4):
+            records = [
+                thf_issue(key, make_doc(10 * height + j), True, c.method, now, now=now, rng=Random(height)).record
+                for j, key in enumerate(c.thf_keys)
+            ]
+            node._apply_block(propose_block(node.state, records, c.hsa_keys[0], now))
+        assert node.state.height == 3
+    finally:
+        node.stop()
+    return config
+
+
+def test_a_removed_facility_is_a_registry_mismatch_not_a_corrupt_log(tmp_path):
+    c = Consortium(num_hsa=1, num_thf=2, genesis_time=0)
+    config = three_block_authority(tmp_path, c)
+    revoked = c.thf_keys[1].owner
+    save_registry(config.registry_file, Registry(tuple(m for m in c.registry.members if m != revoked)))
+    with pytest.raises(RegistryMismatch, match=f"differs from the data dir's: removed {revoked.label()}$"):
+        HsaNode(config)
+
+
+def test_an_added_authority_is_a_registry_mismatch_not_a_corrupt_log(tmp_path):
+    c = Consortium(num_hsa=1, num_thf=2, genesis_time=0)
+    config = three_block_authority(tmp_path, c)
+    joined = seeded_key(Role.HSA, "joined").owner
+    save_registry(config.registry_file, c.registry.with_member(joined))
+    with pytest.raises(RegistryMismatch, match=f"differs from the data dir's: added {joined.label()}$"):
+        HsaNode(config)
+
+
+def test_a_registry_that_only_adds_members_still_starts(tmp_path):
+    """New facilities and members leave history valid, and a log corrupted
+    on disk under that grown registry is still blamed on the log."""
+    c = Consortium(num_hsa=1, num_thf=2, genesis_time=0)
+    config = three_block_authority(tmp_path, c)
+    grown = c.registry.with_member(seeded_key(Role.THF, "joined").owner)
+    grown = grown.with_member(seeded_key(Role.BM, "joined").owner)
+    save_registry(config.registry_file, grown)
+    node = HsaNode(config)
+    node.stop()
+    assert node.state.height == 3
+    log = config.data_dir / "blocks.log"
+    data = bytearray(log.read_bytes())
+    data[-1] ^= 0x01  # the last record's issuer signature
+    log.write_bytes(bytes(data))
+    with pytest.raises(CorruptLog):
+        HsaNode(config)
+
+
+def test_a_frame_longer_than_the_longest_valid_message_is_refused():
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        ours.sendall(struct.pack(">I", MAX_FRAME + 1))
+        with pytest.raises(EncodingError, match="exceeds limit"):
+            recv_frame(theirs)
+
+
+def test_the_longest_valid_block_fits_in_one_frame():
+    """MAX_BLOCK_RECORDS records whose method codes take 255 bytes make a
+    valid block whose ANNOUNCE is exactly MAX_FRAME long and is received
+    whole."""
+    c = Consortium(num_hsa=1, num_thf=1, genesis_time=0)
+    now, method = int(time.time()), TestMethod.named("M" * 255)
+    records = [
+        thf_issue(c.thf_keys[0], make_doc(i), True, method, now, now=now, rng=Random(i)).record
+        for i in range(MAX_BLOCK_RECORDS)
+    ]
+    block = propose_block(c.state, records, c.hsa_keys[0], now)
+    assert append_block(c.state, block, now).tip == block
+    frame = bytes((MSG_ANNOUNCE,)) + block_bytes(block)
+    assert len(frame) == MAX_FRAME
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        sender = threading.Thread(target=send_frame, args=(ours, frame))
+        sender.start()
+        received = recv_frame(theirs)
+        sender.join()
+    assert received == frame
 
 
 def test_node_rejects_mismatched_key_role(tmp_path):
