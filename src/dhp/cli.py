@@ -27,7 +27,7 @@ from .protocol import (
     pending_bytes,
     thf_issue,
 )
-from .service import NodeClient, build_node, parse_hostport, parse_node_config
+from .service import ERR_NOT_FOUND, NodeClient, ServiceError, build_node, parse_hostport, parse_node_config
 from .storage import (
     CorruptLog,
     ReceiptLog,
@@ -104,7 +104,15 @@ def cmd_thf_submit(args) -> int:
         commitment, duplicate = client.submit_dhp(pending)
         print(f"ack {commitment.hex()}{' (duplicate)' if duplicate else ''}")
         if args.wait:
-            token = client.wait_for_token(commitment, timeout=args.timeout)
+            try:
+                token = client.wait_for_token(commitment, timeout=args.timeout)
+            except ServiceError as exc:
+                if exc.code != ERR_NOT_FOUND:
+                    raise
+                # The authority lost it (a restart empties its mempool and
+                # tokens): a resubmission is admitted again or mints its token.
+                client.submit_dhp(pending)
+                token = client.wait_for_token(commitment, timeout=args.timeout)
             print(f"token {token_bytes(token).hex()}")
     return 0
 
@@ -179,7 +187,8 @@ def cmd_chain_audit(args) -> int:
         genesis_time=read_genesis_time(data_dir),
     )
     print(f"chain audit ok: {len(state.blocks)} blocks, height {state.height}, "
-          f"{len(state.index)} records, tip {header_hash(state.tip.header).hex()[:16]}")
+          f"{len(state.index)} records, {len(state.index)} record signatures checked, "
+          f"tip {header_hash(state.tip.header).hex()[:16]}")
     return 0
 
 
@@ -269,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     chain = sub.add_parser("chain", help="chain maintenance")
     csub = chain.add_subparsers(dest="chain_command", required=True)
-    p = csub.add_parser("audit", help="revalidate the block log from genesis")
+    p = csub.add_parser("audit", help="revalidate the block log from genesis, record signatures included")
     p.add_argument("--data-dir")
     p.add_argument("--registry")
     p.set_defaults(func=cmd_chain_audit)

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import logging
 import os
 import secrets
 import socket
@@ -135,6 +136,8 @@ AUTH_TIMEOUT = 5.0
 IDLE_TIMEOUT = 60.0
 #: Seconds between a serving node's checks for a stop.
 STOP_POLL = 0.05
+
+logger = logging.getLogger(__name__)
 
 MSG_CHALLENGE = 0x01
 MSG_AUTH = 0x02
@@ -363,13 +366,17 @@ class Node:
         write_genesis_time(config.data_dir, config.genesis_time)
         self._lock = threading.RLock()
         self._log = BlockLog(config.data_dir / "blocks.log")
-        now = int(time.time())
+        now, t0 = int(time.time()), time.perf_counter()
         try:
             self._state = self._log.recover(self.registry, now, config.genesis_time)
         except CorruptLog as exc:
             self._log.close()
             built = load_registry(local_registry)
             raise registry_mismatch(self._log.path, built, self.registry, now, config.genesis_time) or exc
+        logger.info(
+            "recovered %d blocks, %d records in %.0f ms; record signatures are left to `dhp chain audit`",
+            self._state.height, len(self._state.index), (time.perf_counter() - t0) * 1e3,
+        )
         self._server: _Server | None = None
         self._stop = threading.Event()
 
@@ -480,7 +487,8 @@ class HsaNode(Node):
     """Authority node: accepts facility submissions, proposes blocks at its
     scheduled heights, and announces them to peers. A pending credential's
     token is minted when any block that includes it enters the chain, and is
-    kept in memory only (the salt never touches disk)."""
+    kept in memory only (the salt never touches disk). After a restart, a
+    resubmission by a credential's issuer mints its token from the chain."""
 
     def __init__(self, config: NodeConfig):
         super().__init__(config)
@@ -524,7 +532,15 @@ class HsaNode(Node):
             return _error(code, error.value)
         commitment = pending.record.commitment
         with self._lock:
-            duplicate = commitment in self._mempool or commitment in self._tokens or commitment in self._state.index
+            located = self._state.index.get(commitment)
+            if located is not None and commitment not in self._tokens:
+                height, pos = located
+                block = self._state.blocks[height]
+                # Only the issuer: anyone can copy a record off the chain and
+                # pair it with a wrong salt.
+                if block.records[pos].issuer_id.id == member.id:
+                    self._tokens[commitment] = DhpToken(header_hash(block.header), pos, pending.salt)
+            duplicate = commitment in self._mempool or commitment in self._tokens or located is not None
             if not duplicate:
                 if len(self._mempool) >= MAX_MEMPOOL:
                     return _error(ERR_REJECTED, "mempool full")

@@ -1,9 +1,14 @@
 """Append-only persistence and consortium file formats.
 
 Block log: magic "DHPB" + u8 version, then length-prefixed canonical block
-frames (u32-BE length + block bytes). Recovery replays every frame through
-full validation; anything corrupt raises with the exact byte offset of the
-offending frame.
+frames (u32-BE length + block bytes). Recovery of a node's own log replays
+every frame through validation with every rule but the per-record issuer
+signature: the node checked those when it first appended each block, the
+Merkle root under the authority signature covers every record byte and
+signature, and each gate check verifies its record's signature again. An
+audit (`dhp chain audit`) checks every record signature too, and refuses a
+torn tail. Either way, anything corrupt raises with the exact byte offset of
+the offending frame.
 
 Receipt log: magic "DHPR" + u8 version + length-prefixed receipt frames.
 A writer opening either log trims a torn final frame (truncated write) back
@@ -15,7 +20,8 @@ fail-stop: the log closes before the error is raised, and every later append
 raises OSError and writes nothing, so a retry can never log a frame twice.
 Readers ignore a torn frame.
 Registry file: one member per line, `ROLE hex_id hex_pubkey`; a key that is
-not 32 bytes or has small order, or a repeated (role, id), is refused.
+not 32 bytes or has small order, a repeated (role, id), or an id that is not
+the key's actor id, is refused.
 Key file: a single `ROLE hex_id hex_seed` line; public key and id re-derive
 from the seed on load, so tampering is detected.
 """
@@ -130,6 +136,9 @@ def replay_block_log(
 ) -> tuple[ChainState, int | None]:
     """Rebuild chain state by replaying every block frame through validation.
 
+    strict=True is the audit: every rule, each record's issuer signature
+    included, and a torn tail is CorruptLog. strict=False is recovery: every
+    rule but the record signatures, and a torn tail ends the replay.
     Raises CorruptLog (with the frame's byte offset) for any frame that fails
     to parse or validate. Returns (state, torn_offset): torn_offset is the
     position of a truncated final frame in recovery mode, None otherwise.
@@ -143,7 +152,7 @@ def replay_block_log(
         except EncodingError as exc:
             raise CorruptLog(offset, f"unparseable block: {exc}") from exc
         try:
-            state = append_block(state, block, now)
+            state = append_block(state, block, now, record_sigs=strict)
         except InvalidBlock as exc:
             raise CorruptLog(offset, f"invalid block: {exc.error.value}") from exc
     return state, torn
@@ -205,7 +214,8 @@ class BlockLog(_Log):
     magic = BLOCK_LOG_MAGIC
 
     def recover(self, registry: Registry, now: int, genesis_time: int = 0) -> ChainState:
-        """Replay the log, whose torn tail the open trimmed."""
+        """Replay the log, whose torn tail the open trimmed, without the
+        record signature checks."""
         return replay_block_log(self.path, registry, now, strict=False, genesis_time=genesis_time)[0]
 
     def append(self, block: Block) -> None:
@@ -275,6 +285,8 @@ def parse_registry(text: str) -> Registry:
             raise EncodingError(f"registry line {lineno}: key is not 32 bytes, or has small order")
         if (role, actor_id) in seen:
             raise EncodingError(f"registry line {lineno}: repeats {role.name} {id_hex}")
+        if actor_id != actor_id_for(public):
+            raise EncodingError(f"registry line {lineno}: id does not match its key")
         seen.add((role, actor_id))
         members.append(ActorId(role=role, id=actor_id, public_key=public))
     return Registry(members=tuple(members))

@@ -3,6 +3,9 @@ import struct
 import subprocess
 import sys
 import time
+
+import pytest
+
 from dhp.cli import main
 from dhp.core import Role
 from dhp.crypto import keygen
@@ -105,6 +108,7 @@ def test_chain_audit_ok(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "chain", "audit", "--data-dir", str(data_dir))
     assert code == 0
     assert f"height {state.height}" in out
+    assert f"{len(state.index)} record signatures checked" in out
 
 
 def test_chain_audit_detects_corruption_with_offset(tmp_path, capsys):
@@ -266,9 +270,25 @@ def test_hsa_run_daemon_subprocess(tmp_path):
         proc.wait(timeout=5)
 
 
-def test_thf_submit_cli_round_trip(tmp_path, capsys):
+@pytest.mark.parametrize("forgotten", [False, True])
+def test_thf_submit_cli_round_trip(tmp_path, capsys, monkeypatch, forgotten):
+    """With forgotten, the authority acks the first submission and then
+    loses it, as a restart would: --wait resubmits once and gets the token."""
     from dhp.core import Role
     from dhp.service import HsaNode, NodeConfig
+
+    submits = []
+    handle_submit = HsaNode._handle_submit
+
+    def forgetful(self, member, r):
+        with self._lock:
+            reply = handle_submit(self, member, r)
+            if forgotten and not submits:
+                self._mempool.clear()
+            submits.append(reply)
+        return reply
+
+    monkeypatch.setattr(HsaNode, "_handle_submit", forgetful)
 
     c = Consortium(num_hsa=1)
     registry_path = tmp_path / "registry.txt"
@@ -306,6 +326,7 @@ def test_thf_submit_cli_round_trip(tmp_path, capsys):
 
         token = parse_token(bytes.fromhex(lines["token"]))
         assert node.state.header_index[token.header_hash] == 1
+        assert len(submits) == (2 if forgotten else 1)
     finally:
         node.stop()
 

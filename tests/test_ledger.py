@@ -506,7 +506,8 @@ def test_a_method_code_signed_over_its_raw_frame_bytes_is_refused(consortium, tm
     """A record whose method code has whitespace in it has no canonical
     encoding, so no signature is valid for it, even one its facility made
     over the frame's raw bytes under a Merkle root of those very bytes.
-    validate_block and strict replay refuse it as BadRecordSig."""
+    validate_block refuses it as BadRecordSig with or without the record
+    signature checks, and so do strict replay and recovery."""
     c = consortium
     good = issue(c, 7).record
     code = b"RT qPCR"
@@ -526,11 +527,15 @@ def test_a_method_code_signed_over_its_raw_frame_bytes_is_refused(consortium, tm
     block = parse_block(frame, c.registry)
     assert block.records[0].method == TestMethod("RT qPCR")
     assert validate_block(c.state, block, T0 + 200) is BlockError.BAD_RECORD_SIG
+    assert validate_block(c.state, block, T0 + 200, record_sigs=False) is BlockError.BAD_RECORD_SIG
     path = tmp_path / "blocks.log"
     path.write_bytes(BLOCK_LOG_MAGIC + bytes((LOG_VERSION,)) + struct.pack(">I", len(frame)) + frame)
-    with pytest.raises(CorruptLog) as err:
+    with pytest.raises(CorruptLog) as audit:
         replay_block_log(path, c.registry, T0 + 200, strict=True, genesis_time=c.genesis_time)
-    assert (err.value.offset, err.value.reason) == (5, "invalid block: BadRecordSig")
+    with BlockLog(path) as log, pytest.raises(CorruptLog) as recovery:
+        log.recover(c.registry, T0 + 200, genesis_time=c.genesis_time)
+    for err in (audit, recovery):
+        assert (err.value.offset, err.value.reason) == (5, "invalid block: BadRecordSig")
 
 
 def test_header_and_block_frame_round_trip(consortium):

@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import logging
 import os
 import socket
 import socketserver
@@ -22,6 +23,7 @@ from dhp.ledger import (
     chain_bytes,
     header_bytes,
     header_hash,
+    parse_block,
     propose_block,
     scheduled_authority,
     token_bytes,
@@ -52,7 +54,18 @@ from dhp.service import (
     recv_frame,
     send_frame,
 )
-from dhp.storage import CorruptLog, ReceiptLog, RegistryMismatch, replay_block_log, save_keypair, save_registry
+from dhp.cli import main
+from dhp.storage import (
+    BLOCK_LOG_MAGIC,
+    BlockLog,
+    CorruptLog,
+    ReceiptLog,
+    RegistryMismatch,
+    read_frames,
+    replay_block_log,
+    save_keypair,
+    save_registry,
+)
 
 from conftest import Consortium, make_doc, seeded_key
 from test_protocol import POLICY_TEXT
@@ -325,7 +338,7 @@ def test_token_for_unknown_commitment(net):
     assert err.value.code == ERR_NOT_FOUND
 
 
-def test_node_restart_resumes_from_block_log(net, tmp_path):
+def test_node_restart_resumes_from_block_log(net, tmp_path, caplog):
     c, hsa, bm = net
     pending = issue(c, 20)
     with connect(hsa, c.thf_keys[0], c.registry) as client:
@@ -333,12 +346,43 @@ def test_node_restart_resumes_from_block_log(net, tmp_path):
         client.wait_for_token(ack)
     height = hsa.state.height
     hsa.stop()
-    reborn = HsaNode(replace(hsa.config, listen=("127.0.0.1", 0)))
+    with caplog.at_level(logging.INFO, logger="dhp.service"):
+        reborn = HsaNode(replace(hsa.config, listen=("127.0.0.1", 0)))
     assert reborn.state.height == height
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "dhp.service"]
+    assert line.startswith(f"recovered {height} blocks, 1 records in ")
+    assert line.endswith(" ms; record signatures are left to `dhp chain audit`")
     reborn.start()
     with connect(reborn, c.thf_keys[0], c.registry) as client:
         assert client.get_head().height == height
     reborn.stop()
+
+
+def test_a_token_survives_an_authority_restart(net):
+    """Submit, cut the block, restart the authority before the token is
+    fetched, resubmit: the issuer gets the token minted from the chain, and
+    another facility resubmitting the same frame gets none."""
+    c, hsa, bm = net
+    pending = issue(c, 21)
+    with connect(hsa, c.thf_keys[0], c.registry) as client:
+        client.submit_dhp(pending)
+    assert wait_until(lambda: pending.record.commitment in hsa.state.index)
+    height, index = hsa.state.index[pending.record.commitment]
+    hsa.stop()
+    reborn = HsaNode(replace(hsa.config, listen=("127.0.0.1", 0)))
+    reborn.start()
+    try:
+        with connect(reborn, c.thf_keys[1], c.registry) as client:
+            assert client.submit_dhp(pending) == (pending.record.commitment, True)
+            with pytest.raises(ServiceError) as err:
+                client.get_token(pending.record.commitment)
+            assert err.value.code == ERR_NOT_FOUND
+        with connect(reborn, c.thf_keys[0], c.registry) as client:
+            assert client.submit_dhp(pending) == (pending.record.commitment, True)
+            token = client.get_token(pending.record.commitment)
+    finally:
+        reborn.stop()
+    assert token == DhpToken(header_hash(reborn.state.blocks[height].header), index, pending.salt)
 
 
 def test_two_authorities_alternate_over_sockets(tmp_path):
@@ -1079,6 +1123,29 @@ def test_a_registry_that_only_adds_members_still_starts(tmp_path):
     log.write_bytes(bytes(data))
     with pytest.raises(CorruptLog):
         HsaNode(config)
+
+
+def test_a_flipped_record_signature_byte_is_refused_at_its_frame_by_restart_and_audit(tmp_path, capsys):
+    """Recovery leaves record signatures unchecked, but the Merkle root the
+    authority signed covers them: the recovery, the restarted node and the
+    strict audit all refuse the frame at its offset."""
+    c = Consortium(num_hsa=1, num_thf=2, genesis_time=0)
+    config = three_block_authority(tmp_path, c)
+    path = config.data_dir / "blocks.log"
+    data = bytearray(path.read_bytes())
+    frames, _ = read_frames(bytes(data), BLOCK_LOG_MAGIC, strict=True)
+    offset, payload = frames[1]
+    signature = parse_block(payload, c.registry).records[1].issuer_signature
+    data[offset + 4 + payload.index(signature) + 10] ^= 0x01
+    path.write_bytes(bytes(data))
+    with BlockLog(path) as log, pytest.raises(CorruptLog) as recovery:
+        log.recover(c.registry, int(time.time()))
+    with pytest.raises(CorruptLog) as restart:
+        HsaNode(config)
+    for err in (recovery, restart):
+        assert (err.value.offset, err.value.reason) == (offset, "invalid block: BadMerkleRoot")
+    assert main(["chain", "audit", "--data-dir", str(config.data_dir)]) == 2
+    assert f"corrupt frame at offset {offset}: invalid block: BadMerkleRoot" in capsys.readouterr().err
 
 
 def test_a_frame_longer_than_the_longest_valid_message_is_refused():

@@ -157,6 +157,26 @@ def test_block_log_repeating_a_credential_is_corrupt_at_the_repeat(tmp_path, str
     assert err.value.reason == "invalid block: DuplicateRecord"
 
 
+def test_recovery_checks_one_signature_per_block_and_an_audit_one_per_record_too(tmp_path, monkeypatch):
+    import dhp.ledger
+
+    c, state, log = write_chain(tmp_path, blocks=5, per_block=3)
+    calls = []
+    verify = dhp.ledger.verify_sig
+    monkeypatch.setattr(dhp.ledger, "verify_sig", lambda *args: calls.append(args) or verify(*args))
+    blocks, records = len(state.blocks) - 1, len(state.index)
+    with log:
+        for replay, expected in (
+            (lambda: log.recover(c.registry, NOW, genesis_time=c.genesis_time), blocks),
+            (lambda: replay_block_log(log.path, c.registry, NOW, genesis_time=c.genesis_time)[0], blocks),
+            (lambda: replay_block_log(log.path, c.registry, NOW, strict=True, genesis_time=c.genesis_time)[0],
+             blocks + records),
+        ):
+            calls.clear()
+            assert chain_bytes(replay()) == chain_bytes(state)
+            assert len(calls) == expected
+
+
 def test_block_log_restart_append_cycles(tmp_path):
     c = Consortium()
     state = c.state
@@ -359,6 +379,7 @@ THF_LINE = f"THF {THF_A.owner.id.hex()} {THF_A.public.hex()}\n"
         *(f"THF {'11' * 16} {key}\n" for key in SMALL_ORDER_KEYS),
         THF_LINE + THF_LINE,                   # repeated (role, id)
         THF_LINE + THF_LINE.replace(THF_A.public.hex(), THF_B.public.hex()),
+        THF_LINE.replace(THF_A.public.hex(), THF_B.public.hex()),  # id is not the key's
     ],
 )
 def test_registry_parse_errors(text):
