@@ -124,7 +124,6 @@ def _run_node(config_path: str, expected: Role) -> int:
     node = build_node(config)
     node.start()
     print(f"{expected.name} node listening on {node.address[0]}:{node.address[1]}", flush=True)
-    node.sync_from_peers()
     try:
         while True:
             time.sleep(0.5)

@@ -281,10 +281,6 @@ def read_doc(r: Reader) -> TravelDocument:
     return doc
 
 
-def decode_doc_bytes(data: bytes) -> TravelDocument:
-    return Reader(data).finish(read_doc)
-
-
 def parse_key_values(text: str, what: str) -> dict[str, str]:
     """Parse `key = value` lines; blank lines and `#` comments are skipped.
 

@@ -199,16 +199,6 @@ def scheduled_authority(height: int, authority_set: tuple[ActorId, ...]) -> Acto
     return authority_set[height % len(authority_set)]
 
 
-def check_authority(state: ChainState, header: BlockHeader) -> BlockError | None:
-    """None iff the authority scheduled for the header's height signed it."""
-    sched = scheduled_authority(header.height, state.authority_set)
-    if header.authority_id.role is not Role.HSA or header.authority_id.id != sched.id:
-        return BlockError.WRONG_AUTHORITY
-    if not verify_sig(sched.public_key, header_signing_bytes(header), header.authority_signature):
-        return BlockError.BAD_AUTHORITY_SIG
-    return None
-
-
 def check_issuer(state: ChainState, record: HealthPassport, signature: bool = True) -> BlockError | None:
     """None iff a registered testing facility signed the record's preimage;
     a record whose fields have no canonical encoding has no valid signature.
@@ -272,9 +262,11 @@ def validate_block(state: ChainState, block: Block, now: int, record_sigs: bool 
         return BlockError.WRONG_HEIGHT
     if header.prev_hash != header_hash(state.tip.header):
         return BlockError.BAD_PREV_HASH
-    error = check_authority(state, header)
-    if error is not None:
-        return error
+    sched = scheduled_authority(header.height, state.authority_set)
+    if header.authority_id.role is not Role.HSA or header.authority_id.id != sched.id:
+        return BlockError.WRONG_AUTHORITY
+    if not verify_sig(sched.public_key, header_signing_bytes(header), header.authority_signature):
+        return BlockError.BAD_AUTHORITY_SIG
     if not 1 <= len(block.records) <= MAX_BLOCK_RECORDS:
         return BlockError.BAD_RECORD_COUNT
     try:
@@ -412,10 +404,6 @@ def read_record(r: Reader, issuers: dict[bytes, ActorId]) -> HealthPassport:
     return record
 
 
-def parse_record(data: bytes, issuers: dict[bytes, ActorId]) -> HealthPassport:
-    return Reader(data).finish(read_record, issuers)
-
-
 def header_bytes(header: BlockHeader) -> bytes:
     return (
         header_signing_bytes(header)[len(HEADER_TAG):]
@@ -436,10 +424,6 @@ def read_header(r: Reader, authorities: dict[bytes, ActorId]) -> BlockHeader:
         block_time=block_time,
         authority_signature=signature,
     )
-
-
-def parse_header(data: bytes, authorities: dict[bytes, ActorId]) -> BlockHeader:
-    return Reader(data).finish(read_header, authorities)
 
 
 def block_bytes(block: Block) -> bytes:

@@ -14,6 +14,7 @@ root.
     0x12 GET_TOKEN   commitment(32)     -> 0x13 included(1) [token frame]
     0x20 GET_BLOCK   header_hash(32)    -> 0x21 block frame
     0x22 GET_HEAD                       -> 0x23 header frame
+    0x24 GET_BLOCK_AT height(8)         -> 0x21 block frame, or ERROR not found
     0x30 VERIFY      token frame, at(8), document
                                         -> 0x31 status(1) violation(1)
                                            located(1) [height(8) index(4)]
@@ -24,8 +25,8 @@ root.
 Flags (duplicate, included, located, accepted) are 0 or 1; violation 0 is
 none. Accepted 1: the receiver holds that block. Accepted 0: it does not
 (the block is above its tip, invalid, or conflicts with the one it holds),
-so the announcer sends the blocks after the receiver's head. Both ends decode
-every body through core.Reader, so any malformed body is an EncodingError or
+and pulls what it lacks at its next tick. Both ends decode every body
+through core.Reader, so any malformed body is an EncodingError or
 ServiceError, never a crash of the reading thread.
 
 A node serves at most MAX_CONNECTIONS connections at once, one thread each;
@@ -38,12 +39,12 @@ Each node owns its chain through a single writer lock; request handlers read
 immutable snapshots. Appended blocks are persisted to the node's block log
 before they are announced.
 
-An authority sends blocks to its peers by one path: after each block it
-makes, and at each idle tick while a peer has not acked its tip, it writes
-the tip's ANNOUNCE frame to every such peer before it reads any ack, and
-sends one that refuses the blocks after its head. Each peer has one held-open
-authenticated link, dropped on any error; a peer whose open link failed (it
-may have closed it) gets a second pass on a new link.
+Each node ticks every block_interval. A node that lacks blocks pulls them
+forward from its tip at its first tick and at the tick after it refuses an
+ANNOUNCE. An authority sends only its tip, after each block it makes and at
+each idle tick while a peer has not acked it, to every such peer before it
+reads any ack, over one held-open authenticated link per peer, dropped on
+any error; a peer whose open link failed gets a second pass on a new link.
 """
 
 from __future__ import annotations
@@ -89,7 +90,6 @@ from .ledger import (
     admit,
     append_block,
     block_bytes,
-    check_authority,
     header_bytes,
     header_hash,
     parse_block,
@@ -150,6 +150,7 @@ MSG_GET_BLOCK = 0x20
 MSG_BLOCK = 0x21
 MSG_GET_HEAD = 0x22
 MSG_HEAD = 0x23
+MSG_GET_BLOCK_AT = 0x24
 MSG_VERIFY = 0x30
 MSG_OUTCOME = 0x31
 MSG_ANNOUNCE = 0x40
@@ -361,8 +362,6 @@ class Node:
             )
         config.data_dir.mkdir(parents=True, exist_ok=True)
         local_registry = config.data_dir / "registry.txt"
-        if not local_registry.exists():
-            save_registry(local_registry, self.registry)
         write_genesis_time(config.data_dir, config.genesis_time)
         self._lock = threading.RLock()
         self._log = BlockLog(config.data_dir / "blocks.log")
@@ -371,14 +370,17 @@ class Node:
             self._state = self._log.recover(self.registry, now, config.genesis_time)
         except CorruptLog as exc:
             self._log.close()
-            built = load_registry(local_registry)
+            built = load_registry(local_registry) if local_registry.exists() else self.registry
             raise registry_mismatch(self._log.path, built, self.registry, now, config.genesis_time) or exc
+        # The registry the log now replays under, for the next start and for audits.
+        save_registry(local_registry, self.registry)
         logger.info(
             "recovered %d blocks, %d records in %.0f ms; record signatures are left to `dhp chain audit`",
             self._state.height, len(self._state.index), (time.perf_counter() - t0) * 1e3,
         )
         self._server: _Server | None = None
         self._stop = threading.Event()
+        self._behind = bool(config.peers)  # it may lack blocks its peers hold: the next tick pulls
 
     # -- lifecycle
 
@@ -386,9 +388,10 @@ class Node:
         self._server = _Server(self.config.listen, _Handler)
         self._server.node = self  # type: ignore[attr-defined]
         threading.Thread(target=self._server.serve_forever, args=(STOP_POLL,), daemon=True).start()
+        threading.Thread(target=self._loop, daemon=True).start()
 
     def stop(self) -> None:
-        """Stop serving and close the node's logs: a handler or proposer
+        """Stop serving and ticking, and close the node's logs: a handler or tick
         still running gets OSError from any append, and writes nothing."""
         self._stop.set()
         if self._server is not None:
@@ -420,27 +423,36 @@ class Node:
                 self._state = state
             return self._state.blocks[height:height + 1] == (block,)
 
+    def _loop(self) -> None:
+        while not self._stop.wait(self.config.block_interval):
+            try:
+                self._tick()
+            except (DhpError, OSError) as exc:
+                logger.warning("tick at height %d failed: %r", self._state.height, exc)
+
+    def _tick(self) -> None:
+        if self._behind:
+            self.sync_from_peers()
+
     def sync_from_peers(self) -> None:
-        """One catch-up pass: fetch missing blocks from each peer, walking back
-        from a head its scheduled authority signed while replies match."""
+        """The one catch-up path: from each peer in turn, pull and apply the
+        block at this node's next height until the peer has none, sends one
+        this node does not take, or fails; a lying peer only ends it early."""
+        self._behind = False
         for peer in self.config.peers:
+            start, t0 = len(self._state.blocks), time.perf_counter()
             try:
                 with NodeClient.connect(*peer, key=self.key, registry=self.registry) as client:
-                    head = client.get_head()
-                    cursor = header_hash(head)
-                    if cursor not in self._state.header_index and check_authority(self._state, head) is not None:
-                        continue
-                    missing: list[Block] = []
-                    while cursor not in self._state.header_index:
-                        blk = client.get_block(cursor)
-                        if blk is None or header_hash(blk.header) != cursor:
+                    while True:
+                        height = len(self._state.blocks)
+                        block = client.get_block_at(height)
+                        if block is None or block.header.height != height or not self._apply_block(block):
                             break
-                        missing.append(blk)
-                        cursor = blk.header.prev_hash
-                    for blk in reversed(missing):
-                        self._apply_block(blk)
-            except (OSError, DhpError):
-                continue
+            except (OSError, DhpError) as exc:
+                logger.warning("pull from %s:%d stopped at height %d: %r", *peer, len(self._state.blocks), exc)
+            if len(self._state.blocks) > start:
+                logger.info("pulled %d blocks from %s:%d in %.0f ms", len(self._state.blocks) - start, *peer,
+                            (time.perf_counter() - t0) * 1e3)
 
     # -- request dispatch: each handler decodes the whole body from a Reader
 
@@ -448,8 +460,8 @@ class Node:
         r = Reader(frame)
         try:
             kind = r.u8()
-            if kind == MSG_GET_BLOCK:
-                return self._handle_get_block(r)
+            if kind in (MSG_GET_BLOCK, MSG_GET_BLOCK_AT):
+                return self._handle_get_block(kind, r)
             if kind == MSG_GET_HEAD:
                 r.done()
                 return bytes((MSG_HEAD,)) + header_bytes(self._state.tip.header)
@@ -464,11 +476,13 @@ class Node:
     def dispatch_role(self, member: ActorId, kind: int, r: Reader) -> bytes:
         return _error(ERR_MALFORMED, f"unsupported message {kind:#04x}")
 
-    def _handle_get_block(self, r: Reader) -> bytes:
-        block_hash = r.finish(Reader.take, 32)
+    def _handle_get_block(self, kind: int, r: Reader) -> bytes:
         state = self._state
-        height = state.header_index.get(block_hash)
-        if height is None:
+        if kind == MSG_GET_BLOCK:
+            height = state.header_index.get(r.finish(Reader.take, 32))
+        else:
+            height = r.finish(Reader.u64)
+        if height is None or height >= len(state.blocks):
             return _error(ERR_NOT_FOUND, "unknown block")
         return bytes((MSG_BLOCK,)) + block_bytes(state.blocks[height])
 
@@ -477,9 +491,13 @@ class Node:
             return _error(ERR_WRONG_ROLE, "only authorities announce blocks")
         block = parse_block(r.rest(), self.registry)
         try:
-            accepted = self._apply_block(block)
-        except InvalidBlock:
-            accepted = False
+            accepted, reason = self._apply_block(block), "not the next block"
+        except InvalidBlock as exc:
+            accepted, reason = False, exc.error.value
+        if not accepted:
+            self._behind = True
+            logger.info("refused block %d from %s at tip %d: %s", block.header.height, member.label(),
+                        self._state.height, reason)
         return bytes((MSG_ANNOUNCE_ACK, 1 if accepted else 0))
 
 
@@ -500,13 +518,9 @@ class HsaNode(Node):
         self._acked: set[tuple[str, int]] = set()
         # The held-open link to each peer announced to. _peer_lock guards
         # these and _acked: propose_once may run on a caller's thread while
-        # the timer thread re-announces.
+        # the tick thread re-announces.
         self._links: dict[tuple[str, int], NodeClient] = {}
         self._peer_lock = threading.RLock()
-
-    def start(self) -> None:
-        super().start()
-        threading.Thread(target=self._propose_loop, daemon=True).start()
 
     def stop(self) -> None:
         """Node.stop, then close the peer links; none is opened after."""
@@ -558,13 +572,10 @@ class HsaNode(Node):
             return bytes((MSG_TOKEN, 0))
         return _error(ERR_NOT_FOUND, "unknown commitment")
 
-    def _propose_loop(self) -> None:
-        while not self._stop.wait(self.config.block_interval):
-            try:
-                if self.propose_once() is None:
-                    self._announce()
-            except (DhpError, OSError):
-                continue
+    def _tick(self) -> None:
+        super()._tick()
+        if self.propose_once() is None:
+            self._announce()
 
     def propose_once(self) -> Block | None:
         """Propose one block if scheduled and there is work. Returns it."""
@@ -594,50 +605,41 @@ class HsaNode(Node):
         return held
 
     def _announce(self) -> None:
-        """Bring each peer not known to hold the tip up to it: send the tip to
-        all of them, then read each ack and catch up each refusal. A peer
+        """Send the tip to each peer not known to hold it, then read each ack;
+        a peer that refuses stays un-acked, and pulls what it lacks. A peer
         whose link was open before and has since been dropped (the peer may
         have closed it) gets a second pass on a new link."""
         with self._peer_lock:
             tip = self._state.tip
+            height = tip.header.height
             lagging = [peer for peer in self.config.peers if peer not in self._acked]
-            if self._stop.is_set() or not tip.header.height or not lagging:
+            if self._stop.is_set() or not height or not lagging:
                 return
             frame = bytes((MSG_ANNOUNCE,)) + block_bytes(tip)
             was_open = set(self._links)
             for _ in range(2):
-                sent = [peer for peer in lagging if self._send(peer, frame)]
+                sent = [peer for peer in lagging if self._send(peer, frame, height)]
                 for peer in sent:
                     try:
-                        if self._held_after(self._links[peer], tip):
+                        if _read_ack(self._links[peer].receive()):
                             self._acked.add(peer)
-                    except (OSError, DhpError):
+                    except (OSError, DhpError) as exc:
+                        logger.warning("dropped the link to %s:%d reading its ack of block %d: %r", *peer, height, exc)
                         self._drop(peer)
                 lagging = [peer for peer in lagging if peer in was_open and peer not in self._links]
 
-    def _send(self, peer: tuple[str, int], frame: bytes) -> bool:
-        """Whether frame was sent to peer on its link, opened if there is
-        none. A link that fails is dropped."""
+    def _send(self, peer: tuple[str, int], frame: bytes, height: int) -> bool:
+        """Whether frame, the ANNOUNCE of block height, was sent to peer on
+        its link, opened if there is none. A link that fails is dropped."""
         try:
             if peer not in self._links:
                 self._links[peer] = NodeClient.connect(*peer, key=self.key, registry=self.registry)
             self._links[peer].send(frame)
             return True
-        except (OSError, DhpError):
+        except (OSError, DhpError) as exc:
+            logger.warning("dropped the link to %s:%d sending block %d: %r", *peer, height, exc)
             self._drop(peer)
             return False
-
-    def _held_after(self, link: NodeClient, block: Block) -> bool:
-        """Whether the peer holds block once it has read block's ANNOUNCE,
-        already sent on link, and the blocks after its head if it refused."""
-        held = _read_ack(link.receive())
-        if not held:
-            head = link.get_head()
-            for missing in self._state.blocks[head.height + 1 : block.header.height + 1]:
-                held = link.announce_block(missing)
-                if not held:
-                    break
-        return held
 
     def _drop(self, peer: tuple[str, int]) -> None:
         link = self._links.pop(peer, None)
@@ -761,8 +763,15 @@ class NodeClient:
         raise TimeoutError("credential was not included in time")
 
     def get_block(self, block_hash: bytes) -> Block | None:
+        return self._block(bytes((MSG_GET_BLOCK,)) + block_hash)
+
+    def get_block_at(self, height: int) -> Block | None:
+        return self._block(bytes((MSG_GET_BLOCK_AT,)) + struct.pack(">Q", height))
+
+    def _block(self, payload: bytes) -> Block | None:
+        """The block a GET_BLOCK or GET_BLOCK_AT asks for; None if not found."""
         try:
-            reply = _body(self.request(bytes((MSG_GET_BLOCK,)) + block_hash), MSG_BLOCK)
+            reply = _body(self.request(payload), MSG_BLOCK)
         except ServiceError as exc:
             if exc.code == ERR_NOT_FOUND:
                 return None

@@ -56,9 +56,9 @@ class CorruptLog(DhpError):
 
 class RegistryMismatch(DhpError):
     """The block log does not replay under the configured registry but does
-    under the one the node's data dir was built with, from which it differs
-    in its authorities or issuers. Each member is named, so the registry is
-    blamed and not the disk."""
+    under the data dir's copy of the one it last replayed under, from which
+    it differs in its authorities or issuers. Each member is named, so the
+    registry is blamed and not the disk."""
 
 
 def registry_mismatch(
@@ -297,7 +297,10 @@ def load_registry(path: Path | str) -> Registry:
 
 
 def save_registry(path: Path | str, registry: Registry) -> None:
-    Path(path).write_text(format_registry(registry))
+    """Replace the file whole: a crash leaves the old registry or the new."""
+    temp = Path(f"{path}.tmp")
+    temp.write_text(format_registry(registry))
+    os.replace(temp, path)
 
 
 def save_keypair(path: Path | str, key: KeyPair) -> None:

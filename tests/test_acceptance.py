@@ -12,14 +12,14 @@ from random import Random
 import pytest
 
 from dhp.cli import main as cli_main
-from dhp.core import HygienePolicy
+from dhp.core import HygienePolicy, Reader
 from dhp.crypto import Salt, commit
 from dhp.ledger import (
     Block,
     append_block,
     header_hash,
-    parse_record,
     propose_block,
+    read_record,
     record_bytes,
 )
 from dhp.netsim import (
@@ -146,7 +146,7 @@ def _mutate_and_verify(c, state, token, doc, record_pos, bit):
     frame = bytearray(record_bytes(block.records[record_pos]))
     frame[bit // 8] ^= 1 << (bit % 8)
     try:
-        mutated = parse_record(bytes(frame), state.issuer_registry)
+        mutated = Reader(bytes(frame)).finish(read_record, state.issuer_registry)
     except Exception:
         return None
     records = list(block.records)

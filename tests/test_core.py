@@ -8,12 +8,13 @@ from dhp.core import (
     ActorId,
     EncodingError,
     InvalidDocument,
+    Reader,
     Role,
     TestMethod,
     TravelDocument,
     canonical_doc_bytes,
-    decode_doc_bytes,
     dhp_signing_bytes,
+    read_doc,
 )
 
 DOC = TravelDocument("AB1234567", "GRC", date(1970, 1, 1))
@@ -56,7 +57,7 @@ doc_strategy = st.builds(
 
 @given(doc_strategy)
 def test_doc_bytes_round_trip(doc):
-    assert decode_doc_bytes(canonical_doc_bytes(doc)) == doc
+    assert Reader(canonical_doc_bytes(doc)).finish(read_doc) == doc
 
 
 @given(doc_strategy, doc_strategy)
@@ -67,13 +68,13 @@ def test_doc_bytes_injective(a, b):
 
 def test_decode_rejects_trailing_bytes():
     with pytest.raises(EncodingError):
-        decode_doc_bytes(canonical_doc_bytes(DOC) + b"\x00")
+        Reader(canonical_doc_bytes(DOC) + b"\x00").finish(read_doc)
 
 
 def test_decode_rejects_expiry_past_date_max():
     data = canonical_doc_bytes(DOC)[:-4] + struct.pack(">I", 0xFFFFFFFF)
     with pytest.raises(EncodingError):
-        decode_doc_bytes(data)
+        Reader(data).finish(read_doc)
 
 
 def test_signing_bytes_layout():

@@ -14,14 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhp.core import DhpError, EncodingError, Reader, canonical_doc_bytes, decode_doc_bytes, record_signing_bytes
+from dhp.core import DhpError, EncodingError, Reader, canonical_doc_bytes, read_doc, record_signing_bytes
 from dhp.ledger import (
     block_bytes,
     header_bytes,
     parse_block,
-    parse_header,
-    parse_record,
     parse_token,
+    read_header,
+    read_record,
     record_bytes,
     token_bytes,
 )
@@ -30,6 +30,7 @@ from dhp.storage import BLOCK_LOG_MAGIC, LOG_VERSION, read_frames
 from dhp.service import (
     MSG_ANNOUNCE,
     MSG_GET_BLOCK,
+    MSG_GET_BLOCK_AT,
     MSG_GET_HEAD,
     MSG_GET_TOKEN,
     MSG_SUBMIT,
@@ -54,6 +55,7 @@ CALLS = {
     "submit_dhp": lambda w, cl: cl.submit_dhp(w.pending),
     "get_token": lambda w, cl: cl.get_token(w.pending.record.commitment),
     "get_block": lambda w, cl: cl.get_block(b"\x00" * 32),
+    "get_block_at": lambda w, cl: cl.get_block_at(1),
     "get_head": lambda w, cl: cl.get_head(),
     "verify": lambda w, cl: cl.verify(w.token, make_doc(1), T0),
     "announce_block": lambda w, cl: cl.announce_block(w.block),
@@ -132,17 +134,18 @@ def decoders(w):
 
     return {
         "block": (block, lambda d: parse_block(d, registry)),
-        "header": (header_bytes(w.block.header), lambda d: parse_header(d, authorities)),
+        "header": (header_bytes(w.block.header), lambda d: Reader(d).finish(read_header, authorities)),
         "pending": (pending_bytes(w.pending), lambda d: parse_pending(d, registry.issuers())),
         "token": (token_bytes(w.token), parse_token),
         "receipt": (bytes.fromhex(RECEIPT_FRAME), lambda d: parse_receipt_frame(d, registry)),
-        "doc": (canonical_doc_bytes(make_doc(1)), decode_doc_bytes),
+        "doc": (canonical_doc_bytes(make_doc(1)), lambda d: Reader(d).finish(read_doc)),
         "outcome": (bytes.fromhex(OUTCOME_REPLY)[1:], lambda d: Reader(d).finish(_read_outcome, registry)),
         "auth": (bytes.fromhex(AUTH_FRAME), authenticate),
         "block-log": (log, lambda d: read_frames(d, BLOCK_LOG_MAGIC, strict=True)),
         "dispatch-submit": (bytes((MSG_SUBMIT,)) + pending_bytes(w.pending), dispatch(w.hsa, thf)),
         "dispatch-get-token": (bytes((MSG_GET_TOKEN,)) + commitment, dispatch(w.hsa, thf)),
         "dispatch-get-block": (bytes((MSG_GET_BLOCK,)) + w.token.header_hash, dispatch(w.hsa, thf)),
+        "dispatch-get-block-at": (bytes((MSG_GET_BLOCK_AT,)) + (1).to_bytes(8, "big"), dispatch(w.hsa, thf)),
         "dispatch-get-head": (bytes((MSG_GET_HEAD,)), dispatch(w.bm, bm)),
         "dispatch-announce": (bytes((MSG_ANNOUNCE,)) + block, dispatch(w.bm, hsa1)),
         "dispatch-verify": (bytes.fromhex(VERIFY_REQUEST), dispatch(w.bm, bm)),
@@ -150,8 +153,8 @@ def decoders(w):
 
 
 NAMES = ["block", "header", "pending", "token", "receipt", "doc", "outcome", "auth", "block-log",
-         "dispatch-submit", "dispatch-get-token", "dispatch-get-block", "dispatch-get-head", "dispatch-announce",
-         "dispatch-verify"]
+         "dispatch-submit", "dispatch-get-token", "dispatch-get-block", "dispatch-get-block-at", "dispatch-get-head",
+         "dispatch-announce", "dispatch-verify"]
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -208,7 +211,7 @@ def test_a_parsed_record_signs_its_canonical_encoding(frame):
     record_signing_bytes encodes, or both raise EncodingError. Frames are
     built field by field, or cut, extended or overwritten from a valid one."""
     try:
-        record = parse_record(frame, ISSUERS)
+        record = Reader(frame).finish(read_record, ISSUERS)
     except EncodingError:
         return
     try:

@@ -53,6 +53,22 @@ AUTH_FRAME = (
     "93ad79df8ec32274fe78ae1cbac3afa5e4a41897f241dc5e959a1566e4cffaa2"
     "4e3d0069c828aa2c5f4e5242e2298537153ee9616f15dabcb6e4890a3959130d"
 )
+# the pull's request for block 1, and the member's reply: block 1 as the
+# BLOCK frame (header, record count, its one record)
+GET_BLOCK_AT_REQUEST = "24" "0000000000000001"
+BLOCK_REPLY = (
+    "21" "0000000000000001"
+    "f3eaf0275908d931f1c813beea49a971a5455ec74ac99549da051e18b3d438db"
+    "89b027719b21e38b28730f11e43a8dbae1bea1354055310f744261ae4903be0a"
+    "6a9fc8dbdc472a8e60c201448c3f9734" "000000006553f13c" "0040"
+    "f331383d5cab351cfe35cf574f8f2a08c6e730215b4e08355792cee618592ea3"
+    "96cc3be47f1663e560b394a63cf09d52db18cc1a1501aa52f2aafd3864d06b0b"
+    "00000001"
+    "f90dfa513a93cb55e564dfff455bdfa50f0a5a3cdce938f07cc19320b08bd487" "01" "000000006553f100"
+    "07" "52542d71504352" "f902f9406203b69c4b49b27c46ad1df7" "0040"
+    "868c64f0131c69fa02ab032a4e3f7cf3d073995685badd483d720177e124eb49"
+    "2b02ceb2dfa277c2878dd5e326884114f572486487c75ffa140655934cb49b07"
+)
 
 
 def node_config(tmp_path, c, role, key, name):
@@ -98,7 +114,8 @@ def over_pair(node, member, registry, call):
 
 def build_wire(tmp_path):
     """One credential submitted to hsa-0, sealed into block 1 by hsa-1,
-    announced to hsa-0 and to the member, and checked there."""
+    announced to hsa-0 and to the member, checked there, and pulled from
+    the member by height."""
     c = Consortium()
     save_registry(tmp_path / "registry.txt", c.registry)
     (tmp_path / "policy.txt").write_text(POLICY_TEXT)
@@ -119,8 +136,11 @@ def build_wire(tmp_path):
     checked, frames["verify_request"], frames["outcome_reply"] = over_pair(
         bm, c.bm_keys[0].owner, c.registry, lambda cl: cl.verify(token, make_doc(1), T0 + HOUR)
     )
+    pulled, frames["get_block_at_request"], frames["block_reply"] = over_pair(
+        bm, c.hsa_keys[0].owner, c.registry, lambda cl: cl.get_block_at(1)
+    )
     return SimpleNamespace(c=c, hsa=hsa, bm=bm, block=state.tip, pending=pending, token=token, ack=ack, got=got,
-                           error=error, checked=checked, frames=frames)
+                           error=error, checked=checked, pulled=pulled, frames=frames)
 
 
 @pytest.fixture
@@ -144,6 +164,12 @@ def test_reply_frames_are_pinned(wire):
         OutcomeStatus.VALID, None, (1, 0), T0 + HOUR
     )
     assert receipt.bm_id == wire.c.bm_keys[0].owner
+
+
+def test_get_block_at_frames_are_pinned(wire):
+    assert wire.frames["get_block_at_request"].hex() == GET_BLOCK_AT_REQUEST
+    assert wire.frames["block_reply"].hex() == BLOCK_REPLY
+    assert wire.pulled == wire.block
 
 
 def test_receipt_frame_is_pinned(wire):

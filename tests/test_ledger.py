@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from dhp.core import SIGNING_TAG, EncodingError, Role, TestMethod, record_signing_bytes
+from dhp.core import SIGNING_TAG, EncodingError, Reader, Role, TestMethod, record_signing_bytes
 from dhp.crypto import Salt, sign
 from dhp.ledger import (
     LEAF_TAG,
@@ -28,10 +28,10 @@ from dhp.ledger import (
     lookup_by_token,
     merkle_root,
     parse_block,
-    parse_header,
-    parse_record,
     parse_token,
     propose_block,
+    read_header,
+    read_record,
     record_bytes,
     scheduled_authority,
     token_bytes,
@@ -485,7 +485,7 @@ def test_lookup_unknown_header_and_bad_index(consortium):
 
 def test_record_frame_round_trip(consortium):
     record = issue(consortium, 5).record
-    parsed = parse_record(record_bytes(record), consortium.state.issuer_registry)
+    parsed = Reader(record_bytes(record)).finish(read_record, consortium.state.issuer_registry)
     assert parsed == record
     # the preimage kept on one of two equal records changes neither equality nor hash
     assert record.signing_bytes
@@ -496,10 +496,10 @@ def test_record_frame_strictness(consortium):
     record = issue(consortium, 5).record
     data = bytearray(record_bytes(record))
     with pytest.raises(EncodingError):
-        parse_record(bytes(data) + b"\x00", consortium.state.issuer_registry)
+        Reader(bytes(data) + b"\x00").finish(read_record, consortium.state.issuer_registry)
     data[32] = 0x03  # non-canonical result byte
     with pytest.raises(EncodingError):
-        parse_record(bytes(data), consortium.state.issuer_registry)
+        Reader(bytes(data)).finish(read_record, consortium.state.issuer_registry)
 
 
 def test_a_method_code_signed_over_its_raw_frame_bytes_is_refused(consortium, tmp_path):
@@ -541,7 +541,7 @@ def test_a_method_code_signed_over_its_raw_frame_bytes_is_refused(consortium, tm
 def test_header_and_block_frame_round_trip(consortium):
     block, _ = build_block(consortium, consortium.state, count=3)
     authorities = {a.id: a for a in consortium.state.authority_set}
-    assert parse_header(header_bytes(block.header), authorities) == block.header
+    assert Reader(header_bytes(block.header)).finish(read_header, authorities) == block.header
     assert parse_block(block_bytes(block), consortium.registry) == block
 
 

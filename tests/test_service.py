@@ -21,7 +21,6 @@ from dhp.ledger import (
     append_block,
     block_bytes,
     chain_bytes,
-    header_bytes,
     header_hash,
     parse_block,
     propose_block,
@@ -43,8 +42,7 @@ from dhp.service import (
     MSG_BLOCK,
     MSG_CHALLENGE,
     MSG_ERROR,
-    MSG_GET_HEAD,
-    MSG_HEAD,
+    MSG_GET_BLOCK_AT,
     MSG_VERIFY,
     NodeClient,
     NodeConfig,
@@ -987,12 +985,10 @@ def test_orphan_that_fails_keeps_disk_and_memory_in_step(tmp_path):
     assert BmNode(config).state.height == 1
 
 
-@pytest.mark.parametrize("signed_head", [False, True])
-def test_sync_walks_back_only_from_a_signed_head_over_the_blocks_asked_for(net, signed_head):
-    """A peer serves a hash-linked chain of 30 unsigned blocks down to
-    genesis. With the chain's own unsigned head nothing is fetched; with a
-    genuine signed head whose hash the peer answers with the chain's top,
-    the walk stops at that first reply. The member is unchanged either way."""
+def test_a_pull_asks_forward_from_the_tip_and_stops_at_a_refused_block(net, caplog):
+    """A peer serves a hash-linked chain of 30 unsigned blocks above
+    genesis. The pull asks for height 1 only, refuses that block, logs the
+    peer, the height and the reason, and leaves the member unchanged."""
     c, _, bm = net
     now = int(time.time())
     template = propose_block(c.state, [issue(c, 87).record], c.hsa_keys[0], now)
@@ -1001,26 +997,39 @@ def test_sync_walks_back_only_from_a_signed_head_over_the_blocks_asked_for(net, 
         header = replace(template.header, height=height, prev_hash=prev, authority_signature=b"\x00" * 64)
         chain.append(Block(header, template.records))
         prev = header_hash(header)
-    replies = {header_hash(b.header): b for b in chain}
-    head = chain[-1].header
-    if signed_head:
-        head = propose_block(c.state, [issue(c, 88).record], c.hsa_keys[0], now).header
-        replies[header_hash(head)] = chain[-1]
     asked = []
 
     def reply(frame):
-        if frame[0] == MSG_GET_HEAD:
-            return bytes((MSG_HEAD,)) + header_bytes(head)
-        asked.append(frame[1:])
-        return bytes((MSG_BLOCK,)) + block_bytes(replies[frame[1:]])
+        assert frame[0] == MSG_GET_BLOCK_AT
+        (height,) = struct.unpack(">Q", frame[1:])
+        asked.append(height)
+        return bytes((MSG_BLOCK,)) + block_bytes(chain[height - 1])
 
     before, log_bytes = bm.state, bm._log.path.read_bytes()
     with serving(type("ForgingPeer", (_GarbledPeer,), {"reply": staticmethod(reply)})) as address:
         bm.config.peers = [address]
-        bm.sync_from_peers()
-    assert asked == ([header_hash(head)] if signed_head else [])
+        with caplog.at_level(logging.WARNING, logger="dhp.service"):
+            bm.sync_from_peers()
+    assert asked == [1]
     assert bm.state is before
     assert bm._log.path.read_bytes() == log_bytes
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("pull from")]
+    assert line == f"pull from {address[0]}:{address[1]} stopped at height 1: InvalidBlock('BadAuthoritySig')"
+
+
+def test_a_refused_announce_is_logged_with_its_reason(net, caplog):
+    c, _, bm = net
+    block1 = propose_block(c.state, [issue(c, 89).record], c.hsa_keys[0], int(time.time()))
+    above = Block(replace(block1.header, height=2), block1.records)
+    forged = Block(replace(block1.header, authority_signature=b"\x00" * 64), block1.records)
+    hsa = c.hsa_keys[0].owner
+    with caplog.at_level(logging.INFO, logger="dhp.service"):
+        for block in (above, forged):
+            assert bm.dispatch(hsa, bytes((MSG_ANNOUNCE,)) + block_bytes(block)) == bytes((MSG_ANNOUNCE_ACK, 0))
+    assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("refused")] == [
+        f"refused block 2 from {hsa.label()} at tip 0: not the next block",
+        f"refused block 1 from {hsa.label()} at tip 0: BadAuthoritySig",
+    ]
 
 
 def test_forged_blocks_above_the_tip_are_refused_and_kept_nowhere(net):
@@ -1060,6 +1069,35 @@ def test_member_that_missed_an_announce_catches_up_on_the_next(net, monkeypatch)
     assert chain_bytes(bm.state) == chain_bytes(hsa.state)
     replayed, _ = replay_block_log(bm._log.path, c.registry, int(time.time()), strict=True)
     assert replayed.tip == hsa.state.tip
+
+
+def test_a_member_far_behind_costs_the_proposer_one_announce(linked, monkeypatch):
+    """Both members miss 50 blocks. The next propose_once writes one
+    ANNOUNCE to each and nothing more; each member then pulls up to the tip
+    by itself, and its log replays strictly to the authority's chain."""
+    c, hsa, members = linked
+    peers, hsa.config.peers = hsa.config.peers, []
+    for i in range(50):
+        submit(hsa, c, 200 + i)
+        hsa.propose_once()
+    hsa.config.peers = peers
+    for member in members:
+        member.config.peers = [hsa.address]
+    sent, send = [], NodeClient.send
+
+    def counting(client, payload):
+        sent.append(payload[0])
+        send(client, payload)
+
+    submit(hsa, c, 250)
+    monkeypatch.setattr(NodeClient, "send", counting)
+    hsa.propose_once()
+    assert sent.count(MSG_ANNOUNCE) == len(peers)
+    for member in members:
+        assert wait_until(lambda: member.state.tip == hsa.state.tip)
+        assert chain_bytes(member.state) == chain_bytes(hsa.state)
+        replayed, _ = replay_block_log(member._log.path, c.registry, int(time.time()), strict=True)
+        assert replayed.tip == hsa.state.tip
 
 
 def three_block_authority(tmp_path, c):
@@ -1103,6 +1141,36 @@ def test_an_added_authority_is_a_registry_mismatch_not_a_corrupt_log(tmp_path):
     joined = seeded_key(Role.HSA, "joined").owner
     save_registry(config.registry_file, c.registry.with_member(joined))
     with pytest.raises(RegistryMismatch, match=f"differs from the data dir's: added {joined.label()}$"):
+        HsaNode(config)
+
+
+def joined_facility_block(tmp_path):
+    """c, the config of c's first authority and a facility's key: the
+    authority's log holds three blocks under c's registry, then a fourth,
+    made after a restart with the facility added, with its credential."""
+    c = Consortium(num_hsa=1, num_thf=2, genesis_time=0)
+    config = three_block_authority(tmp_path, c)
+    joined = seeded_key(Role.THF, "joined")
+    save_registry(config.registry_file, c.registry.with_member(joined.owner))
+    node, now = HsaNode(config), int(time.time())
+    try:
+        record = thf_issue(joined, make_doc(90), True, c.method, now, now=now, rng=Random(90)).record
+        node._apply_block(propose_block(node.state, [record], c.hsa_keys[0], now))
+    finally:
+        node.stop()
+    return c, config, joined
+
+
+def test_an_audit_without_a_registry_replays_under_the_one_the_node_last_started_with(tmp_path, capsys):
+    _, config, _ = joined_facility_block(tmp_path)
+    assert main(["chain", "audit", "--data-dir", str(config.data_dir)]) == 0
+    assert capsys.readouterr().out.startswith("chain audit ok: 5 blocks, height 4, 7 records")
+
+
+def test_a_facility_removed_after_its_credentials_reached_the_chain_is_named(tmp_path):
+    c, config, joined = joined_facility_block(tmp_path)
+    save_registry(config.registry_file, c.registry)
+    with pytest.raises(RegistryMismatch, match=f"differs from the data dir's: removed {joined.owner.label()}$"):
         HsaNode(config)
 
 
