@@ -31,7 +31,6 @@ from .ledger import (
 )
 from .netsim import SimConfig, SimReport, check_consistency, check_theta_liveness, run_simulation
 from .protocol import (
-    CitizenWallet,
     OutcomeStatus,
     PendingDhp,
     VerificationOutcome,
@@ -41,7 +40,6 @@ from .protocol import (
     bm_verify,
     check_policy,
     hsa_register,
-    register_citizen,
     thf_issue,
 )
 

@@ -27,6 +27,7 @@ import hashlib
 import struct
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 
 from .core import (
     ActorId,
@@ -351,6 +352,9 @@ def lookup_by_token(state: ChainState, token: DhpToken, doc: TravelDocument) -> 
 # short reads, and trailing bytes are all rejected, so any stored byte is
 # covered by a signature, a hash, or the parser. Each read_x(r, ...) decodes
 # one field sequence from a Reader; parse_x(data, ...) decodes a whole frame.
+# A registered actor parses to the registry's own ActorId, and the records of
+# one method code share one TestMethod (_read_method), so replay builds
+# nothing per record beyond the record and its byte fields.
 
 
 def record_bytes(record: HealthPassport) -> bytes:
@@ -371,23 +375,42 @@ MAX_BLOCK_BYTES = (
 )
 
 
+@lru_cache(maxsize=256)
+def _read_method(code: bytes) -> tuple[TestMethod, bool]:
+    """The method a record frame's code bytes name, and whether they are its
+    canonical encoding; a code that is not UTF-8 raises EncodingError on
+    every call, as exceptions are not cached. Memoised because the records
+    of a block nearly always share one code."""
+    try:
+        method = TestMethod(code.decode("utf-8"))
+    except UnicodeDecodeError:
+        raise EncodingError("method code is not UTF-8") from None
+    try:
+        method_code_bytes(method)
+    except EncodingError:
+        return method, False
+    return method, True
+
+
 def read_record(r: Reader, issuers: dict[bytes, ActorId]) -> HealthPassport:
     """One record frame. Its bytes from the commitment through the issuer id
     are the signed fields' encoding whenever the method code is canonical,
     so they become the record's signing_bytes as they stand; with any other
-    method code, signing_bytes raises EncodingError as for a built record."""
+    method code, signing_bytes raises EncodingError as for a built record.
+    A registered issuer is the registry's own ActorId; any other id gets a
+    THF placeholder with no key, which validate_block refuses as
+    UnknownIssuer."""
     start = r.pos
     commitment, result_byte, tested_at, method_len = r.unpack(_RECORD_HEAD)
     if result_byte not in (0, 1):
         raise EncodingError(f"non-canonical result byte {result_byte:#04x}")
-    try:
-        method = TestMethod(r.take(method_len).decode("utf-8"))
-    except UnicodeDecodeError:
-        raise EncodingError("method code is not UTF-8") from None
+    method, canonical = _read_method(r.take(method_len))
     issuer_id, signature_len = r.unpack(_RECORD_TAIL)
     signed = r.data[start:r.pos - 2]
     signature = r.take(signature_len)
-    issuer = issuers.get(issuer_id, ActorId(role=Role.THF, id=issuer_id, public_key=b""))
+    issuer = issuers.get(issuer_id)
+    if issuer is None:
+        issuer = ActorId(role=Role.THF, id=issuer_id, public_key=b"")
     record = HealthPassport(
         commitment=commitment,
         result=bool(result_byte),
@@ -396,11 +419,8 @@ def read_record(r: Reader, issuers: dict[bytes, ActorId]) -> HealthPassport:
         issuer_id=issuer,
         issuer_signature=signature,
     )
-    try:
-        method_code_bytes(method)
-    except EncodingError:
-        return record
-    record.__dict__["signing_bytes"] = SIGNING_TAG + signed
+    if canonical:
+        record.__dict__["signing_bytes"] = SIGNING_TAG + signed
     return record
 
 
@@ -415,7 +435,9 @@ def header_bytes(header: BlockHeader) -> bytes:
 def read_header(r: Reader, authorities: dict[bytes, ActorId]) -> BlockHeader:
     height, prev_hash, merkle, authority_id, block_time = r.unpack(_HEADER)
     signature = r.take(r.u16())
-    authority = authorities.get(authority_id, ActorId(role=Role.HSA, id=authority_id, public_key=b""))
+    authority = authorities.get(authority_id)
+    if authority is None:
+        authority = ActorId(role=Role.HSA, id=authority_id, public_key=b"")
     return BlockHeader(
         height=height,
         prev_hash=prev_hash,

@@ -1,6 +1,5 @@
-"""Actor-level flows: citizen registration, facility issuance, authority
-registration, member verification against hygiene policies, and signed
-verification receipts.
+"""Actor-level flows: facility issuance, authority registration, member
+verification against hygiene policies, and signed verification receipts.
 
 Verification is a fixed pipeline - locate by token, check the issuer is
 registered, check the issuer signature, check the policy - and the reported
@@ -13,7 +12,7 @@ from __future__ import annotations
 
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from random import Random
 
@@ -29,7 +28,6 @@ from .core import (
     TestMethod,
     TravelDocument,
     as_enum,
-    canonical_doc_bytes,
     dhp_signing_bytes,
     parse_key_values,
 )
@@ -89,14 +87,6 @@ class ViolationReason(Enum):
     TEST_IN_FUTURE = 4
 
 
-@dataclass
-class CitizenWallet:
-    """Traveller-side state: the document and earned tokens."""
-
-    doc: TravelDocument
-    tokens: list[DhpToken] = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class PendingDhp:
     """A freshly issued credential awaiting registration; held transiently.
@@ -127,12 +117,6 @@ class VerificationReceipt:
     outcome_status: OutcomeStatus
     checked_at: int
     bm_signature: bytes
-
-
-def register_citizen(doc: TravelDocument) -> CitizenWallet:
-    """Create a wallet for a valid document, with no tokens yet."""
-    canonical_doc_bytes(doc)  # raises InvalidDocument on bad fields
-    return CitizenWallet(doc=doc)
 
 
 def thf_issue(

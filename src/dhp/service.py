@@ -45,6 +45,8 @@ ANNOUNCE. An authority sends only its tip, after each block it makes and at
 each idle tick while a peer has not acked it, to every such peer before it
 reads any ack, over one held-open authenticated link per peer, dropped on
 any error; a peer whose open link failed gets a second pass on a new link.
+An authority pulls over the same links; a member opens a connection for
+each pull.
 """
 
 from __future__ import annotations
@@ -442,17 +444,24 @@ class Node:
         for peer in self.config.peers:
             start, t0 = len(self._state.blocks), time.perf_counter()
             try:
-                with NodeClient.connect(*peer, key=self.key, registry=self.registry) as client:
-                    while True:
-                        height = len(self._state.blocks)
-                        block = client.get_block_at(height)
-                        if block is None or block.header.height != height or not self._apply_block(block):
-                            break
+                self._pull(peer)
             except (OSError, DhpError) as exc:
                 logger.warning("pull from %s:%d stopped at height %d: %r", *peer, len(self._state.blocks), exc)
             if len(self._state.blocks) > start:
                 logger.info("pulled %d blocks from %s:%d in %.0f ms", len(self._state.blocks) - start, *peer,
                             (time.perf_counter() - t0) * 1e3)
+
+    def _pull(self, peer: tuple[str, int]) -> None:
+        """Pull from peer over a connection of its own."""
+        with NodeClient.connect(*peer, key=self.key, registry=self.registry) as client:
+            self._pull_over(client)
+
+    def _pull_over(self, client: NodeClient) -> None:
+        while True:
+            height = len(self._state.blocks)
+            block = client.get_block_at(height)
+            if block is None or block.header.height != height or not self._apply_block(block):
+                return
 
     # -- request dispatch: each handler decodes the whole body from a Reader
 
@@ -516,9 +525,9 @@ class HsaNode(Node):
         # which may follow a crash between logging and announcing a block, so
         # the first idle tick re-announces the tip.
         self._acked: set[tuple[str, int]] = set()
-        # The held-open link to each peer announced to. _peer_lock guards
-        # these and _acked: propose_once may run on a caller's thread while
-        # the tick thread re-announces.
+        # The held-open link to each peer announced to or pulled from.
+        # _peer_lock guards these and _acked: propose_once may run on a
+        # caller's thread while the tick thread re-announces or pulls.
         self._links: dict[tuple[str, int], NodeClient] = {}
         self._peer_lock = threading.RLock()
 
@@ -628,18 +637,37 @@ class HsaNode(Node):
                         self._drop(peer)
                 lagging = [peer for peer in lagging if peer in was_open and peer not in self._links]
 
+    def _pull(self, peer: tuple[str, int]) -> None:
+        """Node._pull over the held link to peer, as _announce sends: a link
+        that fails is dropped, and one open before gets a second pass on a
+        new link. A stopped node opens none."""
+        with self._peer_lock:
+            if self._stop.is_set():
+                return
+            for held in (peer in self._links, False):
+                try:
+                    return self._pull_over(self._link(peer))
+                except (OSError, DhpError):
+                    self._drop(peer)
+                    if not held:
+                        raise
+
     def _send(self, peer: tuple[str, int], frame: bytes, height: int) -> bool:
         """Whether frame, the ANNOUNCE of block height, was sent to peer on
-        its link, opened if there is none. A link that fails is dropped."""
+        its link. A link that fails is dropped."""
         try:
-            if peer not in self._links:
-                self._links[peer] = NodeClient.connect(*peer, key=self.key, registry=self.registry)
-            self._links[peer].send(frame)
+            self._link(peer).send(frame)
             return True
         except (OSError, DhpError) as exc:
             logger.warning("dropped the link to %s:%d sending block %d: %r", *peer, height, exc)
             self._drop(peer)
             return False
+
+    def _link(self, peer: tuple[str, int]) -> NodeClient:
+        """The held link to peer, opened if there is none."""
+        if peer not in self._links:
+            self._links[peer] = NodeClient.connect(*peer, key=self.key, registry=self.registry)
+        return self._links[peer]
 
     def _drop(self, peer: tuple[str, int]) -> None:
         link = self._links.pop(peer, None)

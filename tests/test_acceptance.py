@@ -36,7 +36,6 @@ from dhp.protocol import (
     audit_manifest,
     bm_verify,
     hsa_register,
-    register_citizen,
     thf_issue,
 )
 from dhp.storage import BlockLog, save_registry, write_genesis_time
@@ -76,23 +75,23 @@ def test_criterion_1_end_to_end():
     started = time.monotonic()
     c = Consortium(num_hsa=3, num_thf=5, num_bm=2)
     state = c.state
-    wallets = [register_citizen(make_doc(i)) for i in range(200)]
+    travellers = [(make_doc(i), []) for i in range(200)]  # (document, tokens) pairs
     issued = []
-    for i, wallet in enumerate(wallets):
+    for i, (doc, held) in enumerate(travellers):
         issued.append(
-            (wallet, thf_issue(c.thf_keys[i % 5], wallet.doc, True, c.method,
-                               tested_at=T0 + i, now=T0 + i, rng=Random(i)))
+            (held, thf_issue(c.thf_keys[i % 5], doc, True, c.method,
+                             tested_at=T0 + i, now=T0 + i, rng=Random(i)))
         )
     for start in range(0, 200, 40):  # five batches, authorities rotating
         chunk = issued[start:start + 40]
         hsa = c.hsa_keys[len(state.blocks) % 3]
         state, tokens = hsa_register(hsa, state, [p for _, p in chunk], T0 + 1000 + start)
-        for (wallet, _), token in zip(chunk, tokens):
-            wallet.tokens.append(token)
+        for (held, _), token in zip(chunk, tokens):
+            held.append(token)
     at = T0 + 12 * HOUR
-    for i, wallet in enumerate(wallets):
+    for i, (doc, held) in enumerate(travellers):
         bm = c.bm_keys[i % 2]
-        outcome, receipt = bm_verify(bm, state, wallet.tokens[0], wallet.doc, POLICY, at)
+        outcome, receipt = bm_verify(bm, state, held[0], doc, POLICY, at)
         assert outcome.status is OutcomeStatus.VALID
         assert receipt.outcome_status is OutcomeStatus.VALID
     elapsed = time.monotonic() - started

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from dhp.core import SIGNING_TAG, EncodingError, Reader, Role, TestMethod, record_signing_bytes
+from dhp.core import SIGNING_TAG, ActorId, EncodingError, Reader, Registry, Role, TestMethod, record_signing_bytes
 from dhp.crypto import Salt, sign
 from dhp.ledger import (
     LEAF_TAG,
@@ -536,6 +536,66 @@ def test_a_method_code_signed_over_its_raw_frame_bytes_is_refused(consortium, tm
         log.recover(c.registry, T0 + 200, genesis_time=c.genesis_time)
     for err in (audit, recovery):
         assert (err.value.offset, err.value.reason) == (5, "invalid block: BadRecordSig")
+
+
+def record_frame_with_code(c: Consortium, code: bytes) -> bytes:
+    """The frame of a record of c's first facility, signed over its raw bytes,
+    with code in place of its method code."""
+    good = issue(c, 7).record
+    signed = record_bytes(good)[:41] + bytes((len(code),)) + code + good.issuer_id.id
+    signature = sign(c.thf_keys[0], SIGNING_TAG + signed)
+    return signed + struct.pack(">H", len(signature)) + signature
+
+
+def test_records_of_one_method_code_share_one_test_method_and_the_registry_s_issuer(consortium, tmp_path):
+    c = consortium
+    state, blocks = c.state, []
+    for start in (0, 3):
+        block, _ = build_block(c, state, count=3, start=start)
+        state = append_block(state, block, T0 + 200)
+        blocks.append(block)
+    parsed = parse_block(block_bytes(blocks[0]), c.registry)
+    assert len({id(r.method) for r in parsed.records}) == 1
+    issuers = c.state.issuer_registry
+    assert all(r.issuer_id is issuers[r.issuer_id.id] for r in parsed.records)
+    path = tmp_path / "blocks.log"
+    with BlockLog(path) as log:
+        for block in blocks:
+            log.append(block)
+    with BlockLog(path) as log:
+        recovered = log.recover(c.registry, T0 + 200, genesis_time=c.genesis_time)
+    records = [r for block in recovered.blocks[1:] for r in block.records]
+    assert len(records) == 6 and len({id(r.method) for r in records}) == 1
+    assert records[0].method == c.method
+
+
+def test_an_unregistered_issuer_is_a_keyless_facility_and_its_block_unknown_issuer(consortium):
+    c = consortium
+    block, _ = build_block(c, c.state, count=1)
+    issuer = block.records[0].issuer_id
+    without = Registry(tuple(m for m in c.registry.members if m.id != issuer.id))
+    parsed = parse_block(block_bytes(block), without)
+    assert parsed.records[0].issuer_id == ActorId(role=Role.THF, id=issuer.id, public_key=b"")
+    state = ChainState.genesis(without, genesis_time=c.genesis_time)
+    assert validate_block(state, parsed, T0 + 200) is BlockError.UNKNOWN_ISSUER
+
+
+def test_a_method_code_that_is_not_utf8_is_refused_on_every_parse(consortium):
+    frame = record_frame_with_code(consortium, b"RT\xffqPCR")
+    for _ in range(2):
+        with pytest.raises(EncodingError, match="not UTF-8"):
+            Reader(frame).finish(read_record, consortium.state.issuer_registry)
+
+
+def test_a_canonical_code_parsed_first_does_not_make_a_whitespace_code_pass(consortium):
+    c, issuers = consortium, consortium.state.issuer_registry
+    canonical = Reader(record_frame_with_code(c, b"RT-qPCR")).finish(read_record, issuers)
+    assert admit(c.state, canonical, T0 + 200) is None
+    for _ in range(2):
+        spaced = Reader(record_frame_with_code(c, b"RT-qPCR ")).finish(read_record, issuers)
+        with pytest.raises(EncodingError):
+            spaced.signing_bytes
+        assert admit(c.state, spaced, T0 + 200) is BlockError.BAD_RECORD_SIG
 
 
 def test_header_and_block_frame_round_trip(consortium):

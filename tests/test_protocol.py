@@ -7,7 +7,6 @@ import pytest
 from dhp.core import (
     EncodingError,
     HygienePolicy,
-    InvalidDocument,
     Role,
     TestMethod,
     TravelDocument,
@@ -35,7 +34,6 @@ from dhp.protocol import (
     pending_bytes,
     receipt_frame_bytes,
     receipt_signing_bytes,
-    register_citizen,
     thf_issue,
 )
 
@@ -56,20 +54,6 @@ def issue_and_register(c, docs, tested_at=T0 + 60, now=T0 + 120):
     pendings = [issue_for(c, doc, i, tested_at) for i, doc in enumerate(docs)]
     state, tokens = hsa_register(c.hsa_keys[1], c.state, pendings, now)
     return state, tokens, pendings
-
-
-# --- citizen registration ------------------------------------------------------
-
-
-def test_register_citizen_empty_wallet():
-    wallet = register_citizen(make_doc(1))
-    assert wallet.tokens == []
-    assert wallet.doc == make_doc(1)
-
-
-def test_register_citizen_invalid_document():
-    with pytest.raises(InvalidDocument):
-        register_citizen(TravelDocument("x", "GRC", date(2030, 1, 1)))
 
 
 # --- issuance -------------------------------------------------------------------

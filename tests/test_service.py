@@ -593,6 +593,43 @@ def test_an_authority_connects_to_each_peer_once(linked, monkeypatch):
     assert sorted(opened) == sorted(hsa.config.peers)
 
 
+def test_an_authority_pulls_and_announces_its_first_block_over_one_link(tmp_path, monkeypatch):
+    """An authority started with a member as its configured peer pulls from
+    it at its first tick, then announces its first block over the same link:
+    one connection to the member, not one for the pull and one for the
+    announce."""
+    c = Consortium(num_hsa=1, num_thf=1, num_bm=1, genesis_time=0)
+    save_registry(tmp_path / "registry.txt", c.registry)
+    save_keypair(tmp_path / "hsa0.key", c.hsa_keys[0])
+    member = start_member(tmp_path, c, 0)
+    address, opened, connect_ = member.address, [], NodeClient.connect.__func__
+
+    def counting(cls, host, port, **kwargs):
+        opened.append((host, port))
+        return connect_(cls, host, port, **kwargs)
+
+    monkeypatch.setattr(NodeClient, "connect", classmethod(counting))
+    hsa = HsaNode(NodeConfig(
+        role=Role.HSA,
+        listen=("127.0.0.1", 0),
+        data_dir=tmp_path / "hsa0",
+        registry_file=tmp_path / "registry.txt",
+        key_file=tmp_path / "hsa0.key",
+        block_interval=0.02,
+        peers=[address],
+    ))
+    hsa.start()
+    try:
+        with connect(hsa, c.thf_keys[0], c.registry) as client:
+            client.wait_for_token(client.submit_dhp(issue(c, 130))[0])
+        assert wait_until(lambda: hsa._acked == {address})
+        assert member.state.tip == hsa.state.tip and hsa.state.height == 1
+    finally:
+        hsa.stop()
+        member.stop()
+    assert opened.count(address) == 1
+
+
 def test_a_link_the_peer_closed_when_idle_is_replaced_in_the_same_announce(linked, monkeypatch):
     c, hsa, members = linked
     monkeypatch.setattr("dhp.service.IDLE_TIMEOUT", 0.3)
