@@ -24,9 +24,10 @@ from functools import cached_property
 SIGNING_TAG = b"DHPv1|"
 
 DOC_EPOCH = date(1970, 1, 1)
-_DOC_NUMBER_RE = re.compile(r"^[A-Z0-9]{5,20}$")
-_COUNTRY_RE = re.compile(r"^[A-Z]{3}$")
-_METHOD_RE = re.compile(r"^\S+$")
+# Each is used with fullmatch: a `$` would also match before a final newline.
+_DOC_NUMBER_RE = re.compile(r"[A-Z0-9]{5,20}")
+_COUNTRY_RE = re.compile(r"[A-Z]{3}")
+_METHOD_RE = re.compile(r"\S+")
 
 ACTOR_ID_LEN = 16
 COMMITMENT_LEN = 32
@@ -255,9 +256,9 @@ def canonical_doc_bytes(doc: TravelDocument) -> bytes:
     Injective over valid documents (number is length-prefixed, the other two
     fields are fixed width). Raises InvalidDocument on any invariant breach.
     """
-    if not isinstance(doc.doc_number, str) or not _DOC_NUMBER_RE.match(doc.doc_number):
+    if not isinstance(doc.doc_number, str) or not _DOC_NUMBER_RE.fullmatch(doc.doc_number):
         raise InvalidDocument(f"bad document number {doc.doc_number!r}")
-    if not isinstance(doc.issuing_country, str) or not _COUNTRY_RE.match(doc.issuing_country):
+    if not isinstance(doc.issuing_country, str) or not _COUNTRY_RE.fullmatch(doc.issuing_country):
         raise InvalidDocument(f"bad issuing country {doc.issuing_country!r}")
     if not isinstance(doc.expiry, date):
         raise InvalidDocument(f"expiry must be a date, got {type(doc.expiry).__name__}")
@@ -312,7 +313,7 @@ def parse_u64(text: str, what: str) -> int:
 
 def method_code_bytes(method: TestMethod) -> bytes:
     """Validate and encode a method code (non-empty, no whitespace, <= 255 bytes)."""
-    if not isinstance(method.code, str) or not _METHOD_RE.match(method.code):
+    if not isinstance(method.code, str) or not _METHOD_RE.fullmatch(method.code):
         raise EncodingError(f"bad method code {method.code!r}")
     code = method.code.encode("utf-8")
     if len(code) > 255:

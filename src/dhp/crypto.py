@@ -6,13 +6,16 @@ salt and the canonical document bytes: hiding without the salt, binding to
 (salt, document). The salt travels only inside the traveller's token, which is
 what keeps on-chain records unlinkable and unexplorable.
 
-Signing runs on `cryptography` (OpenSSL). Verification runs libsodium first
-where the library is installed, at about half OpenSSL's cost, and takes only
-its acceptances. libsodium checks the same cofactorless equation and also
-refuses small-order and non-canonical points, so what it accepts OpenSSL
-accepts too; OpenSSL decides every rejection, and a host with libsodium and
-one without return the same verdicts. A libsodium older than 1.0.18, or one
-that takes a signature whose S is not reduced, is not used.
+Signing runs on libsodium's detached Ed25519 sign where the library is
+installed and signs RFC 8032 test 1 to the byte, and on `cryptography`
+(OpenSSL) elsewhere; the scheme is deterministic, so both give the same
+signature. Verification runs libsodium first where it is installed, at about
+half OpenSSL's cost, and takes only its acceptances. libsodium checks the same
+cofactorless equation and also refuses small-order and non-canonical points,
+so what it accepts OpenSSL accepts too; OpenSSL decides every rejection, and a
+host with libsodium and one without return the same verdicts. A libsodium
+older than 1.0.18, or one that takes a signature whose S is not reduced, is
+not used.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import ctypes
 import ctypes.util
 import hashlib
 import secrets
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from random import Random
@@ -50,18 +54,19 @@ class MalformedKey(DhpError):
 class KeyPair:
     """An actor's signing seed and verification key. secret stays local.
 
-    The seed is parsed into a signing key once, on construction (a malformed
-    seed raises MalformedKey); `dataclasses.replace` re-parses a new seed.
+    The seed alone, never public, is turned into a signer once, on
+    construction (a malformed seed raises MalformedKey);
+    `dataclasses.replace` builds the signer of a new seed.
     """
 
     secret: bytes
     public: bytes
     owner: ActorId
-    _signing_key: ed25519.Ed25519PrivateKey = field(init=False, compare=False, repr=False)
+    _sign: Callable[[bytes], bytes] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        # Rebuilding the key object from the seed costs about as much as a signature.
-        object.__setattr__(self, "_signing_key", _private_key(self.secret))
+        # Building a signer from the seed costs about as much as a signature.
+        object.__setattr__(self, "_sign", _signer(self.secret))
 
 
 @dataclass(frozen=True)
@@ -78,11 +83,16 @@ def new_salt(rng: Random | None = None) -> Salt:
     return Salt(rng.randbytes(SALT_LEN))
 
 
-def _private_key(secret: bytes) -> ed25519.Ed25519PrivateKey:
+def _checked_seed(secret: bytes) -> bytes:
     if not isinstance(secret, bytes) or len(secret) != SEED_LEN:
         raise MalformedKey(f"signing key must be {SEED_LEN} bytes")
+    return secret
+
+
+def _private_key(secret: bytes) -> ed25519.Ed25519PrivateKey:
+    seed = _checked_seed(secret)
     try:
-        return ed25519.Ed25519PrivateKey.from_private_bytes(secret)
+        return ed25519.Ed25519PrivateKey.from_private_bytes(seed)
     except Exception as exc:  # pragma: no cover - library rejects nothing else
         raise MalformedKey(str(exc)) from exc
 
@@ -127,7 +137,15 @@ def keygen(role: Role, seed: bytes | None = None) -> KeyPair:
 
 def sign(key: KeyPair, message: bytes) -> bytes:
     """Sign a message; deterministic for a fixed (key, message)."""
-    return key._signing_key.sign(message)
+    return key._sign(message)
+
+
+def _signer(seed: bytes) -> Callable[[bytes], bytes]:
+    """The function that signs a message under seed: libsodium's where it is
+    bound, OpenSSL's elsewhere. A malformed seed raises MalformedKey."""
+    if _sodium_sign is None:
+        return _private_key(seed).sign
+    return _sodium_sign(_checked_seed(seed))
 
 
 def verify_sig(public: bytes, message: bytes, signature: bytes) -> bool:
@@ -138,7 +156,8 @@ def verify_sig(public: bytes, message: bytes, signature: bytes) -> bool:
     return _verify_cached(public, message, signature)
 
 
-# RFC 8032 test 1 (empty message), for the check _bind_sodium makes.
+# RFC 8032 test 1 (empty message), for the checks the bindings make.
+_RFC8032_SEED = bytes.fromhex("9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60")
 _RFC8032_PUBLIC = bytes.fromhex("d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a")
 _RFC8032_SIGNATURE = bytes.fromhex(
     "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e06522490155"
@@ -164,25 +183,34 @@ def _load_sodium() -> ctypes.CDLL | None:
     return None if name is None else ctypes.CDLL(name)
 
 
-def _bind_sodium():
-    """libsodium's detached Ed25519 verify, or None where it cannot be loaded
-    or might accept what OpenSSL refuses.
-
-    The argument that libsodium accepts a subset of what OpenSSL accepts
-    holds from 1.0.18 on. Older builds, and builds made with ED25519_COMPAT,
-    check only the top bits of S, so the binding is also used only if it takes
-    the RFC 8032 signature and refuses it with L added to S, as OpenSSL does.
-    """
+def _open_sodium() -> ctypes.CDLL | None:
+    """libsodium 1.0.18 or later, initialised, or None. Loaded once, for
+    both bindings."""
     try:
         lib = _load_sodium()
         if lib is None:
             return None
         lib.sodium_version_string.restype = ctypes.c_char_p
         version = tuple(int(n) for n in lib.sodium_version_string().split(b".")[:3])
-        if version < (1, 0, 18) or lib.sodium_init() < 0:
-            return None
-        verify = lib.crypto_sign_ed25519_verify_detached
+        return lib if version >= (1, 0, 18) and lib.sodium_init() >= 0 else None
     except (OSError, AttributeError, ValueError):
+        return None
+
+
+def _bind_sodium(lib: ctypes.CDLL | None):
+    """lib's detached Ed25519 verify, or None where there is no lib or it
+    might accept what OpenSSL refuses.
+
+    The argument that libsodium accepts a subset of what OpenSSL accepts
+    holds from 1.0.18 on. Older builds, and builds made with ED25519_COMPAT,
+    check only the top bits of S, so the binding is also used only if it takes
+    the RFC 8032 signature and refuses it with L added to S, as OpenSSL does.
+    """
+    if lib is None:
+        return None
+    try:
+        verify = lib.crypto_sign_ed25519_verify_detached
+    except AttributeError:
         return None
     # (sig[64], m, mlen, pk[32]) -> 0 iff valid.
     verify.argtypes = (ctypes.c_char_p, ctypes.c_char_p, ctypes.c_ulonglong, ctypes.c_char_p)
@@ -194,7 +222,47 @@ def _bind_sodium():
     return verify
 
 
-_sodium_verify = _bind_sodium()
+def _bind_sodium_sign(lib: ctypes.CDLL | None):
+    """A function from a 32-byte seed to lib's detached Ed25519 signer under
+    it, or None where there is no lib or its signature of RFC 8032 test 1
+    differs from the known one by a single byte.
+
+    The signer's 64-byte secret key is libsodium's own, derived from the
+    seed by crypto_sign_ed25519_seed_keypair."""
+    if lib is None:
+        return None
+    try:
+        seed_keypair = lib.crypto_sign_ed25519_seed_keypair
+        detached = lib.crypto_sign_ed25519_detached
+    except AttributeError:
+        return None
+    # (pk[32], sk[64], seed[32]) -> 0.
+    seed_keypair.argtypes = (ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p)
+    seed_keypair.restype = ctypes.c_int
+    # (sig[64], siglen or NULL, m, mlen, sk[64]) -> 0.
+    detached.argtypes = (ctypes.c_char_p, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_ulonglong, ctypes.c_char_p)
+    detached.restype = ctypes.c_int
+
+    def signer(seed: bytes) -> Callable[[bytes], bytes]:
+        buffer = ctypes.create_string_buffer(2 * SEED_LEN)
+        seed_keypair(ctypes.create_string_buffer(PUBLIC_KEY_LEN), buffer, seed)
+        secret = buffer.raw
+
+        def sign_detached(message: bytes) -> bytes:
+            signature = ctypes.create_string_buffer(SIGNATURE_LEN)
+            detached(signature, None, message, len(message), secret)
+            return signature.raw
+
+        return sign_detached
+
+    if signer(_RFC8032_SEED)(b"") != _RFC8032_SIGNATURE:
+        return None
+    return signer
+
+
+_sodium = _open_sodium()
+_sodium_verify = _bind_sodium(_sodium)
+_sodium_sign = _bind_sodium_sign(_sodium)
 
 
 # Verification is pure, so it is memoised for the three places that check a

@@ -153,6 +153,7 @@ def thf_issue(
         issuer_id=thf.owner,
         issuer_signature=sign(thf, preimage),
     )
+    record.__dict__["signing_bytes"] = preimage  # as ledger.read_record keeps a frame's
     return PendingDhp(record=record, salt=salt)
 
 

@@ -96,7 +96,6 @@ from .ledger import (
     header_hash,
     parse_block,
     propose_block,
-    read_block,
     read_header,
     read_token,
     scheduled_authority,
@@ -383,6 +382,7 @@ class Node:
         self._server: _Server | None = None
         self._stop = threading.Event()
         self._behind = bool(config.peers)  # it may lack blocks its peers hold: the next tick pulls
+        self._tip_frame: bytes | None = None  # the tip's block_bytes, once a block is applied
 
     # -- lifecycle
 
@@ -413,16 +413,22 @@ class Node:
 
     # -- chain writes (single writer discipline)
 
-    def _apply_block(self, block: Block) -> bool:
+    def _apply_block(self, block: Block, frame: bytes | None = None) -> bool:
         """The one way into the chain: append the next block, validated (else
-        InvalidBlock) and logged. True iff the chain holds this very block."""
+        InvalidBlock) and logged. True iff the chain holds this very block.
+
+        frame is the block as it arrived, if it did: any frame that parses to
+        a block validate_block accepts is that block's block_bytes, so it is
+        logged as it stands. A block built here is encoded once, and the
+        encoding is kept as the tip's frame for _announce."""
         with self._lock:
             height = block.header.height
             if height == len(self._state.blocks):
                 state = append_block(self._state, block, int(time.time()))
+                frame = block_bytes(block) if frame is None else frame
                 # Logged, then published, so disk and memory hold the same chain.
-                self._log.append(block)
-                self._state = state
+                self._log.append(block, frame)
+                self._state, self._tip_frame = state, frame
             return self._state.blocks[height:height + 1] == (block,)
 
     def _loop(self) -> None:
@@ -459,8 +465,11 @@ class Node:
     def _pull_over(self, client: NodeClient) -> None:
         while True:
             height = len(self._state.blocks)
-            block = client.get_block_at(height)
-            if block is None or block.header.height != height or not self._apply_block(block):
+            frame = client.block_frame_at(height)
+            if frame is None:
+                return
+            block = parse_block(frame, self.registry)
+            if block.header.height != height or not self._apply_block(block, frame):
                 return
 
     # -- request dispatch: each handler decodes the whole body from a Reader
@@ -498,9 +507,10 @@ class Node:
     def _handle_announce(self, member: ActorId, r: Reader) -> bytes:
         if member.role is not Role.HSA:
             return _error(ERR_WRONG_ROLE, "only authorities announce blocks")
-        block = parse_block(r.rest(), self.registry)
+        frame = r.rest()
+        block = parse_block(frame, self.registry)
         try:
-            accepted, reason = self._apply_block(block), "not the next block"
+            accepted, reason = self._apply_block(block, frame), "not the next block"
         except InvalidBlock as exc:
             accepted, reason = False, exc.error.value
         if not accepted:
@@ -600,11 +610,11 @@ class HsaNode(Node):
             self._announce()
         return block
 
-    def _apply_block(self, block: Block) -> bool:
+    def _apply_block(self, block: Block, frame: bytes | None = None) -> bool:
         """Node._apply_block, then mint the token of each pending credential
         the block holds."""
         with self._lock:
-            held = super()._apply_block(block)
+            held = super()._apply_block(block, frame)
             if held:
                 block_hash = header_hash(block.header)
                 for pos, record in enumerate(block.records):
@@ -619,12 +629,13 @@ class HsaNode(Node):
         whose link was open before and has since been dropped (the peer may
         have closed it) gets a second pass on a new link."""
         with self._peer_lock:
-            tip = self._state.tip
+            with self._lock:
+                tip, tip_frame = self._state.tip, self._tip_frame
             height = tip.header.height
             lagging = [peer for peer in self.config.peers if peer not in self._acked]
             if self._stop.is_set() or not height or not lagging:
                 return
-            frame = bytes((MSG_ANNOUNCE,)) + block_bytes(tip)
+            frame = bytes((MSG_ANNOUNCE,)) + (block_bytes(tip) if tip_frame is None else tip_frame)
             was_open = set(self._links)
             for _ in range(2):
                 sent = [peer for peer in lagging if self._send(peer, frame, height)]
@@ -791,20 +802,27 @@ class NodeClient:
         raise TimeoutError("credential was not included in time")
 
     def get_block(self, block_hash: bytes) -> Block | None:
-        return self._block(bytes((MSG_GET_BLOCK,)) + block_hash)
+        return self._block(self._block_frame(bytes((MSG_GET_BLOCK,)) + block_hash))
 
     def get_block_at(self, height: int) -> Block | None:
-        return self._block(bytes((MSG_GET_BLOCK_AT,)) + struct.pack(">Q", height))
+        return self._block(self.block_frame_at(height))
 
-    def _block(self, payload: bytes) -> Block | None:
-        """The block a GET_BLOCK or GET_BLOCK_AT asks for; None if not found."""
+    def block_frame_at(self, height: int) -> bytes | None:
+        """The frame of the block at height, unparsed; None if not found."""
+        return self._block_frame(bytes((MSG_GET_BLOCK_AT,)) + struct.pack(">Q", height))
+
+    def _block(self, frame: bytes | None) -> Block | None:
+        return None if frame is None else parse_block(frame, self._registry)
+
+    def _block_frame(self, payload: bytes) -> bytes | None:
+        """The block frame a GET_BLOCK or GET_BLOCK_AT asks for; None if not
+        found."""
         try:
-            reply = _body(self.request(payload), MSG_BLOCK)
+            return _body(self.request(payload), MSG_BLOCK).rest()
         except ServiceError as exc:
             if exc.code == ERR_NOT_FOUND:
                 return None
             raise
-        return reply.finish(read_block, self._registry)
 
     def get_head(self) -> BlockHeader:
         reply = _body(self.request(bytes((MSG_GET_HEAD,))), MSG_HEAD)

@@ -218,8 +218,9 @@ class BlockLog(_Log):
         record signature checks."""
         return replay_block_log(self.path, registry, now, strict=False, genesis_time=genesis_time)[0]
 
-    def append(self, block: Block) -> None:
-        self._append(block_bytes(block))
+    def append(self, block: Block, frame: bytes | None = None) -> None:
+        """Log block as frame, its encoding, where the caller holds it."""
+        self._append(block_bytes(block) if frame is None else frame)
 
 
 class ReceiptLog(_Log):

@@ -40,11 +40,18 @@ def test_doc_bytes_number_injectivity():
         TravelDocument("AB1234567", "GR", date(2030, 1, 1)),       # short country
         TravelDocument("AB1234567", "grc", date(2030, 1, 1)),      # lowercase country
         TravelDocument("AB1234567", "GRC", date(1969, 12, 31)),    # pre-epoch expiry
+        TravelDocument("ABCDE", "GRC\n", date(2030, 1, 1)),        # country with a final newline
     ],
 )
 def test_doc_bytes_rejects_invalid(doc):
     with pytest.raises(InvalidDocument):
         canonical_doc_bytes(doc)
+
+
+def test_a_wire_document_number_with_a_final_newline_is_refused():
+    data = struct.pack(">H", 6) + b"ABCDE\nGRC" + struct.pack(">I", 0)
+    with pytest.raises(InvalidDocument):
+        Reader(data).finish(read_doc)
 
 
 doc_strategy = st.builds(
@@ -112,7 +119,7 @@ def test_signing_bytes_method_length_prefix():
 
 @pytest.mark.parametrize(
     "method",
-    [TestMethod("x" * 256), TestMethod(""), TestMethod("RT qPCR"), TestMethod("a\tb")],
+    [TestMethod("x" * 256), TestMethod(""), TestMethod("RT qPCR"), TestMethod("a\tb"), TestMethod("RT-qPCR\n")],
 )
 def test_signing_bytes_rejects_bad_methods(method):
     with pytest.raises(EncodingError):

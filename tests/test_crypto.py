@@ -25,6 +25,8 @@ from dhp.crypto import (
 )
 from dhp.crypto import MalformedKey
 
+import test_golden
+import test_netsim
 from conftest import make_doc
 
 # RFC 8032 section 7.1, TEST 1: the independent golden vector for the scheme.
@@ -79,6 +81,106 @@ def test_rfc8032_golden_vector():
     assert key.public == RFC8032_PUBLIC
     assert sign(key, b"") == RFC8032_SIG_EMPTY
     assert verify_sig(RFC8032_PUBLIC, b"", RFC8032_SIG_EMPTY)
+
+
+# RFC 8032 section 7.1, TESTS 1-3: (seed, public key, message, signature).
+RFC8032_VECTORS = [
+    (RFC8032_SEED, RFC8032_PUBLIC, b"", RFC8032_SIG_EMPTY),
+    (
+        bytes.fromhex("4ccd089b28ff96da9db6c346ec114e0f5b8a319f35aba624da8cf6ed4fb8a6fb"),
+        bytes.fromhex("3d4017c3e843895a92b70aa74d1b7ebc9c982ccf2ec4968cc0cd55f12af4660c"),
+        bytes.fromhex("72"),
+        bytes.fromhex(
+            "92a009a9f0d4cab8720e820b5f642540a2b27b5416503f8fb3762223ebdb69da"
+            "085ac1e43e15996e458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00"
+        ),
+    ),
+    (
+        bytes.fromhex("c5aa8df43f9f837bedb7442f31dcb7b166d38535076f094b85ce3a2e0b4458f7"),
+        bytes.fromhex("fc51cd8e6218a1a38da47ed00230f0580816ed13ba3303ac5deb911548908025"),
+        bytes.fromhex("af82"),
+        bytes.fromhex(
+            "6291d657deec24024827e69c3abe01a30ce548a284743a445e3680d7db5ac3ac"
+            "18ff9b538d16f290ae67f760984dc6594a7c15e9716ed28dc027beceea1ec40a"
+        ),
+    ),
+]
+
+SIGNING = pytest.mark.parametrize("bound", [True, False], ids=["libsodium", "openssl-only"])
+
+
+@pytest.fixture
+def signing_binding(monkeypatch):
+    """Returns a function that leaves signing on libsodium, as bound at
+    import, or forces it off as on a host without the library; key pairs
+    built after the call sign on that path."""
+
+    def use(bound: bool) -> None:
+        if not bound:
+            monkeypatch.setattr(crypto, "_sodium_sign", None)
+        elif crypto._sodium_sign is None:
+            pytest.skip("libsodium is not bound for signing")
+
+    return use
+
+
+def signs_on_openssl(key) -> bool:
+    return isinstance(getattr(key._sign, "__self__", None), ed25519.Ed25519PrivateKey)
+
+
+@SIGNING
+@pytest.mark.parametrize("seed, public, message, signature", RFC8032_VECTORS, ids=["test1", "test2", "test3"])
+def test_rfc8032_vectors_sign_to_the_byte(signing_binding, bound, seed, public, message, signature):
+    signing_binding(bound)
+    key = keygen(Role.THF, seed)
+    assert signs_on_openssl(key) is not bound
+    assert key.public == public
+    assert sign(key, message) == signature
+    assert verify_sig(public, message, signature)
+
+
+@pytest.mark.skipif(crypto._sodium_sign is None, reason="libsodium is not bound for signing")
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(seed=st.binary(min_size=32, max_size=32), message=st.binary(max_size=512))
+def test_libsodium_and_openssl_sign_alike(seed, message):
+    openssl = ed25519.Ed25519PrivateKey.from_private_bytes(seed).sign(message)
+    assert crypto._sodium_sign(seed)(message) == openssl
+
+
+@SIGNING
+def test_a_replaced_seed_signs_under_the_new_seed(signing_binding, bound):
+    signing_binding(bound)
+    key, other = keygen(Role.THF, b"\x01" * 32), keygen(Role.THF, b"\x02" * 32)
+    moved = replace(key, secret=other.secret)
+    assert moved.public == key.public  # the signer comes from the seed alone
+    assert sign(moved, b"message") == sign(other, b"message")
+    assert verify_sig(other.public, b"message", sign(moved, b"message"))
+
+
+@SIGNING
+def test_a_31_byte_seed_is_a_malformed_key(signing_binding, bound):
+    signing_binding(bound)
+    key = keygen(Role.THF, b"\x01" * 32)
+    with pytest.raises(MalformedKey):
+        replace(key, secret=b"\x00" * 31)
+    with pytest.raises(MalformedKey):
+        keygen(Role.THF, b"\x00" * 31)
+
+
+def test_golden_frames_and_sim_digests_hold_on_the_openssl_fallback(signing_binding, tmp_path, monkeypatch):
+    """With the signing binding forced off, every pinned frame and seeded
+    sim report digest is the same: both paths give the same signatures."""
+    signing_binding(False)
+    wire = test_golden.build_wire(tmp_path)
+    assert signs_on_openssl(wire.c.hsa_keys[0])
+    test_golden.test_reply_frames_are_pinned(wire)
+    test_golden.test_get_block_at_frames_are_pinned(wire)
+    test_golden.test_receipt_frame_is_pinned(wire)
+    test_golden.test_auth_frame_is_pinned(wire, monkeypatch)
+    wire.hsa.stop()
+    wire.bm.stop()
+    for config, digest in test_netsim.PINNED_REPORTS:
+        test_netsim.test_seeded_reports_are_pinned(config, digest)
 
 
 def test_signature_bit_flip_always_fails():
@@ -206,6 +308,7 @@ def installed_sodium_version():
 @pytest.mark.skipif((installed_sodium_version() or (0,)) < (1, 0, 18), reason="no libsodium 1.0.18 or later")
 def test_libsodium_is_bound_where_installed():
     assert crypto._sodium_verify is not None
+    assert crypto._sodium_sign is not None
 
 
 @pytest.mark.skipif((installed_sodium_version() or (0,)) < (1, 0, 18), reason="no libsodium 1.0.18 or later")
@@ -217,7 +320,7 @@ def test_libsodium_is_bound_without_find_library(monkeypatch):
         raise AssertionError("find_library was called")
 
     monkeypatch.setattr(ctypes.util, "find_library", no_search)
-    assert crypto._bind_sodium() is not None
+    assert crypto._bind_sodium(crypto._open_sodium()) is not None
 
 
 def test_openssl_refuses_the_rfc8032_signature_with_l_added_to_s():
@@ -253,13 +356,40 @@ def fake_sodium(version: bytes, accepts):
 def test_libsodium_is_bound_only_if_it_refuses_what_openssl_refuses(monkeypatch, version, accepts, bound):
     monkeypatch.setattr(ctypes.util, "find_library", lambda name: "libsodium-stand-in")
     monkeypatch.setattr(ctypes, "CDLL", lambda name: fake_sodium(version, accepts))
-    assert (crypto._bind_sodium() is not None) == bound
+    assert (crypto._bind_sodium(crypto._open_sodium()) is not None) == bound
 
 
 def test_sign_rejects_malformed_secret():
     key = keygen(Role.THF, b"\x01" * 32)
     with pytest.raises(MalformedKey):
         replace(key, secret=b"\x00" * 31)
+
+
+def fake_signing_sodium(signature: bytes):
+    """A stand-in for the loaded library whose detached sign writes
+    signature, whatever it signs."""
+    return SimpleNamespace(
+        crypto_sign_ed25519_seed_keypair=lambda pk, sk, seed: 0,
+        crypto_sign_ed25519_detached=lambda sig, siglen, m, n, sk: ctypes.memmove(sig, signature, len(signature)),
+    )
+
+
+def one_byte_off(signature: bytes) -> bytes:
+    return signature[:-1] + bytes((signature[-1] ^ 1,))
+
+
+@pytest.mark.parametrize(
+    "library, bound",
+    [
+        (fake_signing_sodium(crypto._RFC8032_SIGNATURE), True),
+        (fake_signing_sodium(one_byte_off(crypto._RFC8032_SIGNATURE)), False),
+        (SimpleNamespace(), False),
+        (None, False),
+    ],
+    ids=["signs-rfc8032-test1", "one-byte-off", "no-sign-functions", "no-library"],
+)
+def test_libsodium_signs_only_if_it_signs_rfc8032_test1_to_the_byte(library, bound):
+    assert (crypto._bind_sodium_sign(library) is not None) == bound
 
 
 def test_commit_golden_vectors():

@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+import dhp.core
 from dhp.core import (
     EncodingError,
     HygienePolicy,
@@ -68,6 +69,20 @@ def test_thf_issue_round_trip(consortium):
     )
     assert commit(doc, pending.salt) == record.commitment
     assert pending.record.issuer_id == consortium.thf_keys[0].owner
+
+
+def test_thf_issue_keeps_the_preimage_it_signed(consortium, monkeypatch):
+    """The record's signing_bytes are the preimage its facility signed, so
+    encoding and checking it builds no second one."""
+    pending = issue_for(consortium, make_doc(3))
+    preimage = record_signing_bytes(pending.record)
+
+    def encoded_again(record):
+        raise AssertionError("the preimage was encoded again")
+
+    monkeypatch.setattr(dhp.core, "record_signing_bytes", encoded_again)
+    assert pending.record.signing_bytes == preimage
+    assert parse_pending(pending_bytes(pending), consortium.registry.issuers()) == pending
 
 
 def test_thf_issue_refuses_risky_result(consortium):

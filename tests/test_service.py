@@ -13,6 +13,8 @@ from random import Random
 
 import pytest
 
+import dhp.service
+import dhp.storage
 from dhp.core import EncodingError, Registry, Role, TestMethod, canonical_doc_bytes
 from dhp.ledger import (
     MAX_BLOCK_RECORDS,
@@ -630,6 +632,53 @@ def test_an_authority_pulls_and_announces_its_first_block_over_one_link(tmp_path
     assert opened.count(address) == 1
 
 
+def logged_frames(node):
+    return [payload for _, payload in read_frames(node._log.path.read_bytes(), BLOCK_LOG_MAGIC, True)[0]]
+
+
+def test_a_block_is_encoded_once_where_it_is_made_and_never_where_it_arrives(tmp_path, monkeypatch):
+    """The authority encodes each block it proposes once, for its log and its
+    ANNOUNCE; a member logs the ANNOUNCE frame it was sent, and a node that
+    pulls logs each BLOCK frame it was sent. Every logged frame is the
+    block_bytes of the block its node holds."""
+    c, (hsa,) = parked_authorities(tmp_path, 1, num_bm=3)
+    members = [start_member(tmp_path, c, i) for i in range(3)]
+    hsa.config.peers = [m.address for m in members[:2]]
+    encoded = []
+
+    def counting(block):
+        encoded.append(block)
+        return block_bytes(block)
+
+    monkeypatch.setattr(dhp.service, "block_bytes", counting)
+    monkeypatch.setattr(dhp.storage, "block_bytes", counting)
+    try:
+        blocks = []
+        for i in range(2):
+            submit(hsa, c, 140 + i)
+            blocks.append(hsa.propose_once())
+        assert all(m.state.blocks[1:] == tuple(blocks) for m in members[:2])
+        sent = logged_frames(hsa)
+
+        def reply(frame):
+            (height,) = struct.unpack(">Q", frame[1:])
+            if height > len(sent):
+                return bytes((MSG_ERROR,)) + struct.pack(">HH", ERR_NOT_FOUND, 0)
+            return bytes((MSG_BLOCK,)) + sent[height - 1]
+
+        with serving(type("FramePeer", (_GarbledPeer,), {"reply": staticmethod(reply)})) as address:
+            members[2].config.peers = [address]
+            members[2].sync_from_peers()
+        assert members[2].state.blocks[1:] == tuple(blocks)
+        assert encoded == blocks
+        for node in (hsa, *members):
+            assert logged_frames(node) == sent == [block_bytes(b) for b in node.state.blocks[1:]]
+    finally:
+        hsa.stop()
+        for member in members:
+            member.stop()
+
+
 def test_a_link_the_peer_closed_when_idle_is_replaced_in_the_same_announce(linked, monkeypatch):
     c, hsa, members = linked
     monkeypatch.setattr("dhp.service.IDLE_TIMEOUT", 0.3)
@@ -706,7 +755,7 @@ def test_propose_once_logs_before_it_publishes(solo, monkeypatch):
     with connect(hsa, c.thf_keys[0], c.registry) as client:
         ack, _ = client.submit_dhp(issue(c, 72))
 
-    def disk_full(block):
+    def disk_full(block, frame=None):
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(hsa._log, "append", disk_full)
