@@ -7,6 +7,7 @@ Each pinned frame is also decoded back through the client, which checks the
 decoders against the same bytes.
 """
 
+import hashlib
 import socket
 import threading
 from random import Random
@@ -14,7 +15,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from dhp.core import Role
+from dhp.core import Role, TestMethod
+from dhp.ledger import append_block, block_bytes, merkle_root, parse_block, propose_block
 from dhp.protocol import OutcomeStatus, hsa_register, parse_receipt_frame, receipt_frame_bytes, thf_issue
 from dhp.service import (
     ERR_NOT_FOUND,
@@ -27,7 +29,7 @@ from dhp.service import (
     recv_frame,
     send_frame,
 )
-from dhp.storage import save_keypair, save_registry
+from dhp.storage import BlockLog, replay_block_log, save_keypair, save_registry
 
 from conftest import Consortium, make_doc
 from test_protocol import HOUR, POLICY_TEXT, T0
@@ -69,6 +71,15 @@ BLOCK_REPLY = (
     "868c64f0131c69fa02ab032a4e3f7cf3d073995685badd483d720177e124eb49"
     "2b02ceb2dfa277c2878dd5e326884114f572486487c75ffa140655934cb49b07"
 )
+
+# Merkle roots over seeded credentials (seeded_records), at 3 and 256 leaves
+MERKLE_ROOT_3 = "864fdb3acba90ea7d06ad0417fcfc2a75c742e50dc1f12fca433d54fa55d317b"
+MERKLE_ROOT_256 = "c0f05f994a8981a14b1ef0c178709d8fc747f824f71d124f261efe699676c180"
+# block 1 holding 5 seeded credentials under two method codes: the SHA-256 of
+# its block frame, and of the block log that holds that one frame
+BLOCK_FRAME_LEN = 813
+BLOCK_FRAME_SHA256 = "2fe9e0e5e5a8fd6ef5cc6eda6c0b011b5302d3bf40755ef3df37990cc65c2bf3"
+BLOCK_LOG_SHA256 = "5bf2060970d1ea482809288aafeeae0128a89574c0067cddaf658b4e311dac54"
 
 
 def node_config(tmp_path, c, role, key, name):
@@ -189,3 +200,34 @@ def test_auth_frame_is_pinned(wire, monkeypatch):
     theirs.close()
     assert frame.hex() == AUTH_FRAME
     assert _Handler._authenticate(hsa, frame, NONCE) == c.thf_keys[0].owner
+
+
+def seeded_records(c, n, methods):
+    """n credentials issued by the two facilities in turn, with salts drawn
+    from Random(n) and method codes taken from methods in turn."""
+    rng = Random(n)
+    return [
+        thf_issue(c.thf_keys[i % 2], make_doc(i), True, methods[i % len(methods)], T0, now=T0, rng=rng).record
+        for i in range(n)
+    ]
+
+
+def test_merkle_roots_are_pinned():
+    c = Consortium()
+    assert merkle_root(seeded_records(c, 3, [c.method])).hex() == MERKLE_ROOT_3
+    assert merkle_root(seeded_records(c, 256, [c.method])).hex() == MERKLE_ROOT_256
+
+
+def test_block_frame_and_block_log_are_pinned(tmp_path):
+    c = Consortium()
+    records = seeded_records(c, 5, [c.method, TestMethod("RAT")])
+    block = propose_block(c.state, records, c.hsa_keys[1], T0 + 60)
+    state = append_block(c.state, block, T0 + 60)
+    frame = block_bytes(block)
+    assert (len(frame), hashlib.sha256(frame).hexdigest()) == (BLOCK_FRAME_LEN, BLOCK_FRAME_SHA256)
+    assert parse_block(frame, c.registry) == block
+    with BlockLog(tmp_path / "blocks.log") as log:
+        log.append(block)
+    assert hashlib.sha256(log.path.read_bytes()).hexdigest() == BLOCK_LOG_SHA256
+    replayed, torn = replay_block_log(log.path, c.registry, T0 + 60, strict=True, genesis_time=c.genesis_time)
+    assert (replayed.blocks, torn) == (state.blocks, None)
