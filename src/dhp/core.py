@@ -175,7 +175,9 @@ class HealthPassport:
 
     commitment hides the travel document (salted digest), result is True for
     risk-free, tested_at is UTC integer seconds, and issuer_signature covers
-    exactly :func:`dhp_signing_bytes` of the other fields.
+    exactly :func:`dhp_signing_bytes` of the other fields. ledger.read_record
+    builds parsed records without __init__, storing these fields in this
+    order; a field added here is added there too.
     """
 
     commitment: bytes

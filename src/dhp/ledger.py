@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -112,15 +112,20 @@ class ChainState:
     """A replicated chain plus derived indexes.
 
     Mutation happens only through :func:`append_block`, which returns a new
-    state and never touches the old one, so readers can hold snapshots without
-    synchronisation.
+    state; an old state's answers never change, so readers can hold
+    snapshots without synchronisation. The states along one chain share
+    `index` (commitment to height and position) and `header_index` (header
+    hash to height), which each append extends in place; read them through
+    :meth:`locate` and :meth:`height_of`, which answer only for this
+    state's own blocks. On the newest state of a chain they hold exactly
+    its entries. One writer at a time appends along a chain.
     """
 
     blocks: tuple[Block, ...]
     authority_set: tuple[ActorId, ...]
     issuer_registry: dict[bytes, ActorId]
-    index: dict[bytes, tuple[int, int]]
-    header_index: dict[bytes, int]
+    index: dict[bytes, tuple[int, int]] = field(compare=False, repr=False)
+    header_index: dict[bytes, int] = field(compare=False, repr=False)
 
     @classmethod
     def genesis(cls, registry: Registry, genesis_time: int = 0) -> "ChainState":
@@ -157,6 +162,18 @@ class ChainState:
     @property
     def height(self) -> int:
         return self.tip.header.height
+
+    def locate(self, commitment: bytes) -> tuple[int, int] | None:
+        """(height, position) of the record with this commitment, if this
+        state's chain holds one."""
+        located = self.index.get(commitment)
+        return located if located is not None and located[0] < len(self.blocks) else None
+
+    def height_of(self, block_hash: bytes) -> int | None:
+        """The height of the block with this header hash, if this state's
+        chain holds one."""
+        height = self.header_index.get(block_hash)
+        return height if height is not None and height < len(self.blocks) else None
 
 
 def merkle_root(records: tuple[HealthPassport, ...] | list[HealthPassport]) -> bytes:
@@ -276,18 +293,28 @@ def validate_block(state: ChainState, block: Block, now: int, record_sigs: bool 
         return BlockError.BAD_RECORD_SIG
     if root != header.merkle_root:
         return BlockError.BAD_MERKLE_ROOT
+    # One pass for the record rules: an issuer failure returns at once, as it
+    # precedes the rest; the others are noted and reported in their order.
+    latest_test = header.block_time + CLOCK_SKEW_SECONDS
+    previous = None
+    unordered = duplicate = late = False
     for record in block.records:
         error = check_issuer(state, record, signature=record_sigs)
         if error is not None:
             return error
-    for a, b in zip(block.records, block.records[1:]):
-        if a.commitment >= b.commitment:
-            return BlockError.BAD_ORDERING
-    if any(r.commitment in state.index for r in block.records):
+        commitment = record.commitment
+        if previous is not None and previous >= commitment:
+            unordered = True
+        if state.locate(commitment) is not None:
+            duplicate = True
+        if record.tested_at > latest_test:
+            late = True
+        previous = commitment
+    if unordered:
+        return BlockError.BAD_ORDERING
+    if duplicate:
         return BlockError.DUPLICATE_RECORD
-    if header.block_time < state.tip.header.block_time or header.block_time > now + CLOCK_SKEW_SECONDS:
-        return BlockError.BAD_TIMESTAMP
-    if any(r.tested_at > header.block_time + CLOCK_SKEW_SECONDS for r in block.records):
+    if header.block_time < state.tip.header.block_time or header.block_time > now + CLOCK_SKEW_SECONDS or late:
         return BlockError.BAD_TIMESTAMP
     return None
 
@@ -298,11 +325,15 @@ def append_block(state: ChainState, block: Block, now: int, record_sigs: bool = 
     error = validate_block(state, block, now, record_sigs)
     if error is not None:
         raise InvalidBlock(error)
-    index = dict(state.index)
     height = block.header.height
+    index, header_index = state.index, state.header_index
+    if len(header_index) != height:
+        # Another state holds a later block in these indexes (a fork, or a
+        # block whose log write failed): start this state's own from a copy.
+        index = {c: located for c, located in index.items() if located[0] < height}
+        header_index = {h: n for h, n in header_index.items() if n < height}
     for pos, record in enumerate(block.records):
         index[record.commitment] = (height, pos)
-    header_index = dict(state.header_index)
     header_index[header_hash(block.header)] = height
     return replace(state, blocks=state.blocks + (block,), index=index, header_index=header_index)
 
@@ -326,7 +357,7 @@ def lookup_by_token(state: ChainState, token: DhpToken, doc: TravelDocument) -> 
     The record is returned only if commit(doc, token.salt) equals the stored
     commitment, which is what makes credentials non-transferable.
     """
-    height = state.header_index.get(token.header_hash)
+    height = state.height_of(token.header_hash)
     if height is None:
         return LookupResult(LookupStatus.NOT_FOUND)
     block = state.blocks[height]
@@ -393,34 +424,45 @@ def _read_method(code: bytes) -> tuple[TestMethod, bool]:
 
 
 def read_record(r: Reader, issuers: dict[bytes, ActorId]) -> HealthPassport:
-    """One record frame. Its bytes from the commitment through the issuer id
-    are the signed fields' encoding whenever the method code is canonical,
-    so they become the record's signing_bytes as they stand; with any other
-    method code, signing_bytes raises EncodingError as for a built record.
+    """One record frame, read in one pass from r.data at r.pos: its two
+    fixed layouts unpacked in place, and one bounds check for the rest. Its
+    bytes from the commitment through the issuer id are the signed fields'
+    encoding whenever the method code is canonical, so they become the
+    record's signing_bytes as they stand; with any other method code,
+    signing_bytes raises EncodingError as for a built record.
     A registered issuer is the registry's own ActorId; any other id gets a
     THF placeholder with no key, which validate_block refuses as
     UnknownIssuer."""
-    start = r.pos
-    commitment, result_byte, tested_at, method_len = r.unpack(_RECORD_HEAD)
-    if result_byte not in (0, 1):
+    data, start = r.data, r.pos
+    try:
+        commitment, result_byte, tested_at, method_len = _RECORD_HEAD.unpack_from(data, start)
+        method_end = start + _RECORD_HEAD.size + method_len
+        issuer_id, signature_len = _RECORD_TAIL.unpack_from(data, method_end)
+    except struct.error:
+        raise EncodingError("frame truncated") from None
+    end = method_end + _RECORD_TAIL.size + signature_len
+    if end > len(data):
+        raise EncodingError("frame truncated")
+    if result_byte > 1:
         raise EncodingError(f"non-canonical result byte {result_byte:#04x}")
-    method, canonical = _read_method(r.take(method_len))
-    issuer_id, signature_len = r.unpack(_RECORD_TAIL)
-    signed = r.data[start:r.pos - 2]
-    signature = r.take(signature_len)
+    method, canonical = _read_method(data[start + _RECORD_HEAD.size:method_end])
+    r.pos = end
     issuer = issuers.get(issuer_id)
     if issuer is None:
         issuer = ActorId(role=Role.THF, id=issuer_id, public_key=b"")
-    record = HealthPassport(
-        commitment=commitment,
-        result=bool(result_byte),
-        tested_at=tested_at,
-        method=method,
-        issuer_id=issuer,
-        issuer_signature=signature,
-    )
+    # The frozen __init__ stores each field in the instance dict; doing that
+    # here, in field order, costs a third as much per record, and the dict
+    # still shares its keys with every other record's.
+    record = object.__new__(HealthPassport)
+    attrs = record.__dict__
+    attrs["commitment"] = commitment
+    attrs["result"] = bool(result_byte)
+    attrs["tested_at"] = tested_at
+    attrs["method"] = method
+    attrs["issuer_id"] = issuer
+    attrs["issuer_signature"] = data[end - signature_len:end]
     if canonical:
-        record.__dict__["signing_bytes"] = SIGNING_TAG + signed
+        attrs["signing_bytes"] = SIGNING_TAG + data[start:method_end + len(issuer_id)]
     return record
 
 

@@ -497,7 +497,7 @@ class Node:
     def _handle_get_block(self, kind: int, r: Reader) -> bytes:
         state = self._state
         if kind == MSG_GET_BLOCK:
-            height = state.header_index.get(r.finish(Reader.take, 32))
+            height = state.height_of(r.finish(Reader.take, 32))
         else:
             height = r.finish(Reader.u64)
         if height is None or height >= len(state.blocks):
@@ -565,7 +565,7 @@ class HsaNode(Node):
             return _error(code, error.value)
         commitment = pending.record.commitment
         with self._lock:
-            located = self._state.index.get(commitment)
+            located = self._state.locate(commitment)
             if located is not None and commitment not in self._tokens:
                 height, pos = located
                 block = self._state.blocks[height]
@@ -709,11 +709,13 @@ class BmNode(Node):
         token, at, doc = read_token(r), r.u64(), read_doc(r)
         r.done()
         outcome, receipt = bm_verify(self.key, self._state, token, doc, self.policy, at)
-        self._receipts.append(receipt)
-        return _encode_outcome(outcome, receipt)
+        frame = receipt_frame_bytes(receipt)
+        self._receipts.append(receipt, frame)
+        return _encode_outcome(outcome, frame)
 
 
-def _encode_outcome(outcome: VerificationOutcome, receipt: VerificationReceipt) -> bytes:
+def _encode_outcome(outcome: VerificationOutcome, frame: bytes) -> bytes:
+    """The OUTCOME reply: the outcome, then the receipt's frame."""
     located = outcome.dhp_location is not None
     parts = [
         bytes((MSG_OUTCOME, outcome.status.value,
@@ -723,7 +725,6 @@ def _encode_outcome(outcome: VerificationOutcome, receipt: VerificationReceipt) 
     if located:
         parts.append(struct.pack(">QI", *outcome.dhp_location))
     parts.append(struct.pack(">Q", outcome.checked_at))
-    frame = receipt_frame_bytes(receipt)
     parts.append(struct.pack(">H", len(frame)) + frame)
     return b"".join(parts)
 

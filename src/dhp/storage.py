@@ -228,8 +228,9 @@ class ReceiptLog(_Log):
 
     magic = RECEIPT_LOG_MAGIC
 
-    def append(self, receipt: VerificationReceipt) -> None:
-        self._append(receipt_frame_bytes(receipt))
+    def append(self, receipt: VerificationReceipt, frame: bytes | None = None) -> None:
+        """Log receipt as frame, its encoding, where the caller holds it."""
+        self._append(receipt_frame_bytes(receipt) if frame is None else frame)
 
     def read_all(self, registry: Registry) -> list[VerificationReceipt]:
         frames, _ = read_frames(self.path.read_bytes(), self.magic, strict=False)

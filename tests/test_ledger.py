@@ -1,5 +1,7 @@
 import hashlib
 import struct
+import sys
+import threading
 from dataclasses import replace
 from random import Random
 
@@ -403,6 +405,111 @@ def test_immutability_of_earlier_blocks(consortium):
     assert block_bytes(state.blocks[1]) == frozen
 
 
+# --- snapshots: the states of one chain share their indexes ----------------------
+
+
+def token_of(block: Block, pending) -> DhpToken:
+    pos = [r.commitment for r in block.records].index(pending.record.commitment)
+    return DhpToken(header_hash(block.header), pos, pending.salt)
+
+
+def test_a_held_state_answers_as_before_after_two_later_appends(consortium):
+    """A state taken before two appends finds no token of either later block,
+    and takes a block at its own next height that repeats a later block's
+    credential: no DuplicateRecord."""
+    c = consortium
+    block1, _ = build_block(c, c.state, count=1)
+    held = append_block(c.state, block1, T0 + 200)
+    block2, (p2,) = build_block(c, held, count=1, start=10)
+    later = append_block(held, block2, T0 + 200)
+    block3, (p3,) = build_block(c, later, count=1, start=20)
+    append_block(later, block3, T0 + 200)
+    for block, pending, doc in ((block2, p2, make_doc(10)), (block3, p3, make_doc(20))):
+        assert lookup_by_token(held, token_of(block, pending), doc).status is LookupStatus.NOT_FOUND
+        assert held.locate(pending.record.commitment) is None
+    rival = propose_block(held, [p3.record], c.hsa_keys[0], T0 + 200)
+    assert validate_block(held, rival, T0 + 200) is None
+    forked = append_block(held, rival, T0 + 200)
+    assert lookup_by_token(forked, token_of(rival, p3), make_doc(20)).location == (2, 0)
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_two_blocks_on_one_parent_each_see_only_their_own_records(consortium, first):
+    c = consortium
+    made = [build_block(c, c.state, count=2, start=start) for start in (0, 10)]
+    children = {}
+    for i in (first, 1 - first):
+        children[i] = append_block(c.state, made[i][0], T0 + 200)
+    for i, child in children.items():
+        (own_block, own), (other_block, other) = made[i], made[1 - i]
+        assert len(child.index) == 2 and len(child.header_index) == 2
+        assert [child.locate(p.record.commitment)[0] for p in own] == [1, 1]
+        assert [child.locate(p.record.commitment) for p in other] == [None, None]
+        assert child.height_of(header_hash(own_block.header)) == 1
+        assert child.height_of(header_hash(other_block.header)) is None
+    assert all(c.state.locate(p.record.commitment) is None for _, pendings in made for p in pendings)
+
+
+def test_an_append_to_the_newest_state_shares_its_indexes(consortium):
+    """Appending to the newest state of a chain extends its indexes in
+    place; appending to any other state of it starts from a copy."""
+    state = grow_chain(consortium, 3)
+    block, _ = build_block(consortium, state, count=2, now=T0 + 600, start=100)
+    extended = append_block(state, block, T0 + 600)
+    assert extended.index is state.index and extended.header_index is state.header_index
+    again = append_block(state, block, T0 + 600)
+    assert again.index is not state.index and again.header_index is not state.header_index
+    assert again.index == extended.index and again.header_index == extended.header_index
+
+
+def test_held_states_answer_as_before_while_a_writer_appends(consortium):
+    """Readers on three threads check held states of a chain while one
+    writer extends the indexes those states share: each answers for its
+    own blocks, and for none above its height."""
+    blocks = grow_chain(consortium, 30, per_block=4).blocks[1:]
+    states = [consortium.state]
+    done = threading.Event()
+    wrong = []
+
+    def write():
+        state = consortium.state
+        for block in blocks:
+            state = append_block(state, block, T0 + 100_000, record_sigs=False)
+            states.append(state)
+        done.set()
+
+    def read(seed):
+        rng = Random(seed)
+        passes = 0
+        while not done.is_set() or passes < 50:
+            passes += 1
+            held = states[rng.randrange(len(states))]
+            for block in blocks:
+                height = block.header.height
+                mine = height <= held.height
+                if (held.height_of(header_hash(block.header)) == height) != mine:
+                    wrong.append((held.height, height))
+                    return
+                for pos, record in enumerate(block.records):
+                    if held.locate(record.commitment) != ((height, pos) if mine else None):
+                        wrong.append((held.height, height, pos))
+                        return
+
+    threads = [threading.Thread(target=read, args=(seed,)) for seed in range(3)]
+    threads.append(threading.Thread(target=write))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(states) == len(blocks) + 1 and not wrong
+
+
 def test_index_soundness_and_completeness(consortium):
     state = grow_chain(consortium, 12, per_block=3)
     for commitment, (height, pos) in state.index.items():
@@ -490,6 +597,8 @@ def test_record_frame_round_trip(consortium):
     # the preimage kept on one of two equal records changes neither equality nor hash
     assert record.signing_bytes
     assert parsed == record and hash(parsed) == hash(record) and repr(parsed) == repr(record)
+    # read_record fills the instance dict itself: every field, in field order
+    assert list(vars(parsed).items()) == list(vars(record).items())
 
 
 def test_record_frame_strictness(consortium):

@@ -29,7 +29,7 @@ from dhp.ledger import (
     scheduled_authority,
     token_bytes,
 )
-from dhp.protocol import OutcomeStatus, ViolationReason, thf_issue
+from dhp.protocol import OutcomeStatus, ViolationReason, receipt_frame_bytes, thf_issue
 from dhp.service import (
     ERR_MALFORMED,
     ERR_NOT_FOUND,
@@ -57,6 +57,7 @@ from dhp.service import (
 from dhp.cli import main
 from dhp.storage import (
     BLOCK_LOG_MAGIC,
+    RECEIPT_LOG_MAGIC,
     BlockLog,
     CorruptLog,
     ReceiptLog,
@@ -242,6 +243,32 @@ def test_bm_verify_endpoint_happy_path(net):
     assert receipt.outcome_status is OutcomeStatus.VALID
     persisted = ReceiptLog(bm.config.data_dir / "receipts.log").read_all(c.registry)
     assert receipt in persisted
+
+
+def test_a_verify_encodes_its_receipt_once(net, monkeypatch):
+    """The member encodes each check's signed receipt once: the frame it logs
+    is the frame its OUTCOME reply carries."""
+    c, hsa, bm = net
+    doc = make_doc(7)
+    tested_at = int(time.time())
+    pending = thf_issue(c.thf_keys[0], doc, True, c.method, tested_at, now=tested_at, rng=Random(7))
+    with connect(hsa, c.thf_keys[0], c.registry) as client:
+        token = client.wait_for_token(client.submit_dhp(pending)[0])
+    assert wait_until(lambda: bm.state.height >= token_height(hsa, token))
+    encoded = []
+
+    def counting(receipt):
+        encoded.append(receipt)
+        return receipt_frame_bytes(receipt)
+
+    monkeypatch.setattr(dhp.service, "receipt_frame_bytes", counting)
+    monkeypatch.setattr(dhp.storage, "receipt_frame_bytes", counting)
+    with connect(bm, c.bm_keys[0], c.registry) as client:
+        receipts = [client.verify(token, presented, tested_at + 3600)[1] for presented in (doc, make_doc(8))]
+    assert [r.outcome_status for r in receipts] == [OutcomeStatus.VALID, OutcomeStatus.COMMITMENT_MISMATCH]
+    assert encoded == receipts
+    logged = read_frames((bm.config.data_dir / "receipts.log").read_bytes(), RECEIPT_LOG_MAGIC, True)[0]
+    assert [payload for _, payload in logged] == [receipt_frame_bytes(r) for r in receipts]
 
 
 def token_height(hsa, token):
@@ -770,6 +797,39 @@ def test_propose_once_logs_before_it_publishes(solo, monkeypatch):
     assert ack in hsa._tokens and not hsa._mempool
     replayed, _ = replay_block_log(hsa._log.path, c.registry, int(time.time()), strict=True)
     assert replayed.tip == block
+
+
+def test_a_block_the_log_refused_is_nowhere_in_the_node_s_answers(solo, monkeypatch):
+    """The refused block was added to the indexes the node's state shares,
+    above its height: the node still serves no such block, a resubmission of
+    the refused credential is acked as pending (no IndexError in the
+    handler), and the next block appends with that credential."""
+    c, hsa = solo
+    pending = issue(c, 74)
+    with connect(hsa, c.thf_keys[0], c.registry) as client:
+        ack, _ = client.submit_dhp(pending)
+    refused = []
+
+    def disk_full(block, frame=None):
+        refused.append(block)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(hsa._log, "append", disk_full)
+    with pytest.raises(OSError):
+        hsa.propose_once()
+    monkeypatch.undo()
+    (block,) = refused
+    state = hsa.state
+    assert (state.height, state.locate(ack), state.height_of(header_hash(block.header))) == (0, None, None)
+    with connect(hsa, c.thf_keys[0], c.registry) as client:
+        assert client.submit_dhp(pending) == (ack, True)
+        assert client.get_block(header_hash(block.header)) is None
+        assert client.get_token(ack) is None
+    appended = hsa.propose_once()
+    assert appended.header.height == 1
+    assert hsa.state.locate(ack) == (1, 0) and len(hsa.state.index) == 1
+    with connect(hsa, c.thf_keys[0], c.registry) as client:
+        assert client.get_token(ack) == DhpToken(header_hash(appended.header), 0, pending.salt)
 
 
 def test_a_failed_fsync_stops_the_block_log(solo, monkeypatch):
