@@ -75,6 +75,11 @@ BLOCK_REPLY = (
 # Merkle roots over seeded credentials (seeded_records), at 3 and 256 leaves
 MERKLE_ROOT_3 = "864fdb3acba90ea7d06ad0417fcfc2a75c742e50dc1f12fca433d54fa55d317b"
 MERKLE_ROOT_256 = "c0f05f994a8981a14b1ef0c178709d8fc747f824f71d124f261efe699676c180"
+# Merkle roots at 0, 1 and 2 leaves, as the headers that carry them: the
+# genesis block's, and block 1 proposed over 1 or 2 seeded credentials
+MERKLE_ROOT_0 = "b081787bf37c30352f575ee116f36420aa40a9b2413b9760c1a137f24d81a34b"
+MERKLE_ROOT_1 = "eb413e7ce399126c855b2005d21d3286971710ae8680f39e69b1b3d4236548d5"
+MERKLE_ROOT_2 = "6347a3d153573f067051942e6e3faf7290ef5baa71f82cc344a4608861665a25"
 # block 1 holding 5 seeded credentials under two method codes: the SHA-256 of
 # its block frame, and of the block log that holds that one frame
 BLOCK_FRAME_LEN = 813
@@ -216,6 +221,14 @@ def test_merkle_roots_are_pinned():
     c = Consortium()
     assert merkle_root(seeded_records(c, 3, [c.method])).hex() == MERKLE_ROOT_3
     assert merkle_root(seeded_records(c, 256, [c.method])).hex() == MERKLE_ROOT_256
+
+
+def test_merkle_roots_at_0_1_and_2_leaves_are_pinned():
+    c = Consortium()
+    assert c.state.tip.header.merkle_root.hex() == MERKLE_ROOT_0
+    for n, pinned in ((1, MERKLE_ROOT_1), (2, MERKLE_ROOT_2)):
+        block = propose_block(c.state, seeded_records(c, n, [c.method]), c.hsa_keys[1], T0 + 60)
+        assert block.header.merkle_root.hex() == pinned
 
 
 def test_block_frame_and_block_log_are_pinned(tmp_path):
