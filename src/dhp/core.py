@@ -175,9 +175,9 @@ class HealthPassport:
 
     commitment hides the travel document (salted digest), result is True for
     risk-free, tested_at is UTC integer seconds, and issuer_signature covers
-    exactly :func:`dhp_signing_bytes` of the other fields. ledger.read_record
-    builds parsed records without __init__, storing these fields in this
-    order; a field added here is added there too.
+    exactly :func:`dhp_signing_bytes` of the other fields. ledger._record_at
+    builds records decoded from a frame without __init__, storing these
+    fields in this order; a field added here is added there too.
     """
 
     commitment: bytes
@@ -192,7 +192,7 @@ class HealthPassport:
         """record_signing_bytes(self), kept in the instance dict, outside the
         fields: equality, hashing and repr ignore it, and
         dataclasses.replace builds a record with its own. A record parsed
-        from a frame (ledger.read_record) carries the preimage taken from the
+        from a frame (ledger._record_at) carries the preimage taken from the
         frame's own bytes, which are its encoding whenever the method code is
         canonical; any other record encodes it on first use. An EncodingError
         is raised on every access, never cached."""

@@ -8,13 +8,19 @@ commitment), which removes proposer discretion and makes Merkle roots
 reproducible. Wire frames carry only signed fields plus signatures; issuer and
 authority keys come from the consortium registry at validation time.
 
+A block is held as its frame: the bytes it was parsed from, or the encoding
+of the records it was built from, made once. validate_block reads every
+record rule from the frame, in one pass per record, and a HealthPassport is
+built only when a caller reads that record (Block.records).
+
 validate_block alone decides whether a block may enter a chain; the proposer
 only builds and signs. It reports the first rule broken, in this order: the
 height is the tip's plus one (WrongHeight) and prev_hash the tip's hash
 (BadPrevHash); the scheduled HSA signed the header (WrongAuthority,
-BadAuthoritySig); 1 to MAX_BLOCK_RECORDS records (BadRecordCount) under the
-header's Merkle root (BadMerkleRoot), each signed by a registered THF
-(UnknownIssuer, BadRecordSig); commitments strictly ascending, so none repeats
+BadAuthoritySig); 1 to MAX_BLOCK_RECORDS records (BadRecordCount), each with
+a canonical encoding (else BadRecordSig), under the header's Merkle root
+(BadMerkleRoot), each signed by a registered THF (UnknownIssuer,
+BadRecordSig); commitments strictly ascending, so none repeats
 (BadOrdering), and none already on the chain (DuplicateRecord); block and test
 times within CLOCK_SKEW_SECONDS (BadTimestamp). A node replaying its own
 block log may skip the issuer signatures (record_sigs=False); every other
@@ -25,11 +31,15 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 
 from .core import (
+    ACTOR_ID_LEN,
+    COMMITMENT_LEN,
     ActorId,
     DhpError,
     EncodingError,
@@ -52,6 +62,9 @@ HEADER_TAG = b"DHPH1|"
 GENESIS_PREV_HASH = b"\x00" * 32
 MAX_BLOCK_RECORDS = 1024
 CLOCK_SKEW_SECONDS = 300
+#: The commitment index packs a record's place as height << POS_BITS | position
+#: (2**POS_BITS > MAX_BLOCK_RECORDS): one int per record, not a tuple of two.
+POS_BITS = 11
 
 
 class EmptyAuthoritySet(DhpError):
@@ -90,10 +103,92 @@ class BlockHeader:
     authority_signature: bytes
 
 
-@dataclass(frozen=True)
 class Block:
-    header: BlockHeader
-    records: tuple[HealthPassport, ...]
+    """A block: its header, its records and its frame, the one encoding of
+    the block (block_bytes) that the block log, the ANNOUNCE and BLOCK
+    messages, chain_bytes and validate_block all read.
+
+    A block parsed from a frame (parse_block) keeps that frame and the
+    offset of each record in it; its records are a view that decodes one
+    HealthPassport per access and keeps none. A block built from records
+    keeps their tuple and encodes its frame once, on first use; a record
+    with no canonical encoding raises EncodingError there, on every use.
+    Blocks are equal when their frames are.
+    """
+
+    __slots__ = ("header", "records", "_frame", "_offsets")
+
+    def __init__(self, header: BlockHeader, records: Iterable[HealthPassport]):
+        self.header = header
+        self.records: Sequence[HealthPassport] = tuple(records)
+        self._frame: bytes | None = None
+        self._offsets: array | None = None
+
+    @classmethod
+    def _parsed(cls, header: BlockHeader, frame: bytes, offsets: array, issuers: dict[bytes, ActorId]) -> "Block":
+        block = cls.__new__(cls)
+        block.header, block._frame, block._offsets = header, frame, offsets
+        block.records = _FrameRecords(frame, offsets, issuers)
+        return block
+
+    @property
+    def frame(self) -> bytes:
+        if self._frame is None:
+            self._encode()
+        return self._frame
+
+    @property
+    def offsets(self) -> array:
+        """The offset of each record's frame in the block's frame."""
+        if self._frame is None:
+            self._encode()
+        return self._offsets
+
+    def _encode(self) -> None:
+        head = header_bytes(self.header) + _COUNT.pack(len(self.records))
+        parts, offsets, pos = [head], array("I"), len(head)
+        for record in self.records:
+            part = record_bytes(record)
+            parts.append(part)
+            offsets.append(pos)
+            pos += len(part)
+        self._offsets = offsets
+        self._frame = b"".join(parts)
+
+    def commitments(self) -> list[bytes]:
+        """Each record's commitment, in block order, read from the frame."""
+        frame = self.frame
+        return [frame[start:start + COMMITMENT_LEN] for start in self.offsets]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Block):
+            return NotImplemented
+        return self is other or self.frame == other.frame
+
+    def __repr__(self) -> str:
+        return f"Block(height={self.header.height}, records={len(self.records)})"
+
+
+class _FrameRecords(Sequence):
+    """The records of a parsed block, read from its frame: each index access
+    decodes one HealthPassport, which nothing keeps."""
+
+    __slots__ = ("_frame", "_offsets", "_issuers")
+
+    def __init__(self, frame: bytes, offsets: array, issuers: dict[bytes, ActorId]):
+        self._frame, self._offsets, self._issuers = frame, offsets, issuers
+
+    def __len__(self) -> int:
+        return len(self._offsets)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        return _record_at(self._frame, self._offsets[index], self._issuers)[0]
+
+    def __iter__(self) -> Iterator[HealthPassport]:
+        frame, issuers = self._frame, self._issuers
+        return (_record_at(frame, start, issuers)[0] for start in self._offsets)
 
 
 @dataclass(frozen=True)
@@ -114,17 +209,18 @@ class ChainState:
     Mutation happens only through :func:`append_block`, which returns a new
     state; an old state's answers never change, so readers can hold
     snapshots without synchronisation. The states along one chain share
-    `index` (commitment to height and position) and `header_index` (header
-    hash to height), which each append extends in place; read them through
-    :meth:`locate` and :meth:`height_of`, which answer only for this
-    state's own blocks. On the newest state of a chain they hold exactly
-    its entries. One writer at a time appends along a chain.
+    `index` (commitment to height << POS_BITS | position) and
+    `header_index` (header hash to height), which each append extends in
+    place; read them through :meth:`locate` and :meth:`height_of`, which
+    answer only for this state's own blocks. On the newest state of a chain
+    they hold exactly its entries. One writer at a time appends along a
+    chain.
     """
 
     blocks: tuple[Block, ...]
     authority_set: tuple[ActorId, ...]
     issuer_registry: dict[bytes, ActorId]
-    index: dict[bytes, tuple[int, int]] = field(compare=False, repr=False)
+    index: dict[bytes, int] = field(compare=False, repr=False)
     header_index: dict[bytes, int] = field(compare=False, repr=False)
 
     @classmethod
@@ -167,7 +263,9 @@ class ChainState:
         """(height, position) of the record with this commitment, if this
         state's chain holds one."""
         located = self.index.get(commitment)
-        return located if located is not None and located[0] < len(self.blocks) else None
+        if located is None or located >> POS_BITS >= len(self.blocks):
+            return None
+        return located >> POS_BITS, located & ((1 << POS_BITS) - 1)
 
     def height_of(self, block_hash: bytes) -> int | None:
         """The height of the block with this header hash, if this state's
@@ -176,21 +274,23 @@ class ChainState:
         return height if height is not None and height < len(self.blocks) else None
 
 
-def merkle_root(records: tuple[HealthPassport, ...] | list[HealthPassport]) -> bytes:
-    """Merkle root over credential leaves; odd layers duplicate the last node."""
-    if not records:
+def record_leaf(record: HealthPassport) -> bytes:
+    """The Merkle leaf of a record: the hash of its signed preimage and its
+    signature (validate_block hashes the same bytes from the frame)."""
+    return hashlib.sha256(LEAF_TAG + record.signing_bytes + record.issuer_signature).digest()
+
+
+def merkle_root(leaves: Iterable[bytes]) -> bytes:
+    """Merkle root over leaf hashes (record_leaf); odd layers duplicate the
+    last node."""
+    layer = list(leaves)
+    if not layer:
         return hashlib.sha256(EMPTY_TAG).digest()
-    layer = [
-        hashlib.sha256(LEAF_TAG + r.signing_bytes + r.issuer_signature).digest()
-        for r in records
-    ]
     while len(layer) > 1:
         if len(layer) % 2:
             layer.append(layer[-1])
-        layer = [
-            hashlib.sha256(NODE_TAG + layer[i] + layer[i + 1]).digest()
-            for i in range(0, len(layer), 2)
-        ]
+        pairs = iter(layer)
+        layer = [hashlib.sha256(NODE_TAG + left + right).digest() for left, right in zip(pairs, pairs)]
     return layer[0]
 
 
@@ -217,15 +317,12 @@ def scheduled_authority(height: int, authority_set: tuple[ActorId, ...]) -> Acto
     return authority_set[height % len(authority_set)]
 
 
-def check_issuer(state: ChainState, record: HealthPassport, signature: bool = True) -> BlockError | None:
+def check_issuer(state: ChainState, record: HealthPassport) -> BlockError | None:
     """None iff a registered testing facility signed the record's preimage;
-    a record whose fields have no canonical encoding has no valid signature.
-    With signature=False, only that the facility is registered."""
+    a record whose fields have no canonical encoding has no valid signature."""
     issuer = state.issuer_registry.get(record.issuer_id.id)
     if issuer is None or record.issuer_id.role is not Role.THF:
         return BlockError.UNKNOWN_ISSUER
-    if not signature:
-        return None
     try:
         preimage = record.signing_bytes
     except EncodingError:
@@ -258,7 +355,7 @@ def propose_block(
     header = BlockHeader(
         height=len(state.blocks),
         prev_hash=header_hash(state.tip.header),
-        merkle_root=merkle_root(records),
+        merkle_root=merkle_root(map(record_leaf, records)),
         authority_id=hsa.owner,
         block_time=now,
         authority_signature=b"",
@@ -270,6 +367,8 @@ def propose_block(
 def validate_block(state: ChainState, block: Block, now: int, record_sigs: bool = True) -> BlockError | None:
     """None iff the block extends the chain; otherwise the first failure.
 
+    The record rules read the block's frame, one pass per record: its
+    commitment, test time, method code, issuer id and signature, in place.
     record_sigs=False leaves out the one rule that costs an Ed25519 check per
     record, each issuer's signature, and keeps every other rule. It is for
     replaying a log this node wrote after validating each block in full: the
@@ -288,28 +387,60 @@ def validate_block(state: ChainState, block: Block, now: int, record_sigs: bool 
     if not 1 <= len(block.records) <= MAX_BLOCK_RECORDS:
         return BlockError.BAD_RECORD_COUNT
     try:
-        root = merkle_root(block.records)
+        frame, offsets = block.frame, block.offsets
     except EncodingError:  # a record without signed bytes has no valid signature
         return BlockError.BAD_RECORD_SIG
-    if root != header.merkle_root:
-        return BlockError.BAD_MERKLE_ROOT
-    # One pass for the record rules: an issuer failure returns at once, as it
-    # precedes the rest; the others are noted and reported in their order.
+    # One pass over the records: the leaves, and each rule's first breach.
+    # An unknown issuer is noted with its position, as the signatures of the
+    # records before it are checked first, once the root holds; the other
+    # rules are reported in their order after that.
+    issuers, index, height = state.issuer_registry, state.index, len(state.blocks)
+    read_head, new_leaf = _RECORD_HEAD.unpack_from, _LEAF.copy
+    head, id_len = _RECORD_HEAD.size, ACTOR_ID_LEN
     latest_test = header.block_time + CLOCK_SKEW_SECONDS
-    previous = None
-    unordered = duplicate = late = False
-    for record in block.records:
-        error = check_issuer(state, record, signature=record_sigs)
-        if error is not None:
-            return error
-        commitment = record.commitment
-        if previous is not None and previous >= commitment:
+    leaves, signed_records = [], []
+    previous, code = b"", None
+    pos, unknown = 0, len(offsets)
+    unencodable = unordered = duplicate = late = False
+    ends = offsets[1:]
+    ends.append(len(frame))
+    for start, end in zip(offsets, ends):
+        commitment, _, tested_at, method_len = read_head(frame, start)
+        method_end = start + head + method_len
+        signed_end = method_end + id_len
+        if code != frame[start + head:method_end]:
+            code = frame[start + head:method_end]
+            unencodable = unencodable or not _read_method(code)[1]
+        signed = frame[start:signed_end]
+        signature = frame[signed_end + 2:end]  # past its u16 length
+        leaf = new_leaf()
+        leaf.update(signed)
+        leaf.update(signature)
+        leaves.append(leaf.digest())
+        if pos < unknown:
+            issuer = issuers.get(frame[method_end:signed_end])
+            if issuer is None:
+                unknown = pos
+            elif record_sigs:
+                signed_records.append((issuer.public_key, signed, signature))
+        pos += 1
+        if previous >= commitment:
             unordered = True
-        if state.locate(commitment) is not None:
+        located = index.get(commitment)  # locate(commitment), inline
+        if located is not None and located >> POS_BITS < height:
             duplicate = True
-        if record.tested_at > latest_test:
+        if tested_at > latest_test:
             late = True
         previous = commitment
+    if unencodable:
+        return BlockError.BAD_RECORD_SIG
+    if merkle_root(leaves) != header.merkle_root:
+        return BlockError.BAD_MERKLE_ROOT
+    for public_key, signed, signature in signed_records:
+        if not verify_sig(public_key, SIGNING_TAG + signed, signature):
+            return BlockError.BAD_RECORD_SIG
+    if unknown < len(offsets):
+        return BlockError.UNKNOWN_ISSUER
     if unordered:
         return BlockError.BAD_ORDERING
     if duplicate:
@@ -330,10 +461,9 @@ def append_block(state: ChainState, block: Block, now: int, record_sigs: bool = 
     if len(header_index) != height:
         # Another state holds a later block in these indexes (a fork, or a
         # block whose log write failed): start this state's own from a copy.
-        index = {c: located for c, located in index.items() if located[0] < height}
+        index = {c: located for c, located in index.items() if located >> POS_BITS < height}
         header_index = {h: n for h, n in header_index.items() if n < height}
-    for pos, record in enumerate(block.records):
-        index[record.commitment] = (height, pos)
+    index.update(zip(block.commitments(), range(height << POS_BITS, (height + 1) << POS_BITS)))
     header_index[header_hash(block.header)] = height
     return replace(state, blocks=state.blocks + (block,), index=index, header_index=header_index)
 
@@ -383,9 +513,10 @@ def lookup_by_token(state: ChainState, token: DhpToken, doc: TravelDocument) -> 
 # short reads, and trailing bytes are all rejected, so any stored byte is
 # covered by a signature, a hash, or the parser. Each read_x(r, ...) decodes
 # one field sequence from a Reader; parse_x(data, ...) decodes a whole frame.
-# A registered actor parses to the registry's own ActorId, and the records of
-# one method code share one TestMethod (_read_method), so replay builds
-# nothing per record beyond the record and its byte fields.
+# parse_block checks each record frame's layout and keeps its offset; a
+# record is decoded only when read. A registered actor decodes to the
+# registry's own ActorId, and the records of one method code share one
+# TestMethod (_read_method).
 
 
 def record_bytes(record: HealthPassport) -> bytes:
@@ -397,6 +528,9 @@ def record_bytes(record: HealthPassport) -> bytes:
 #: length before the method code; issuer id and signature length after it.
 _RECORD_HEAD = struct.Struct(">32sBQB")
 _RECORD_TAIL = struct.Struct(">16sH")
+_COUNT = struct.Struct(">I")
+#: A record's Merkle leaf hash, fed with its tags (record_leaf).
+_LEAF = hashlib.sha256(LEAF_TAG + SIGNING_TAG)
 #: The longest frame of a block validate_block can accept: a header with its
 #: signature, the u32 record count, and MAX_BLOCK_RECORDS records whose method
 #: codes fill their u8 length, each with a signature of SIGNATURE_LEN.
@@ -423,17 +557,38 @@ def _read_method(code: bytes) -> tuple[TestMethod, bool]:
     return method, True
 
 
-def read_record(r: Reader, issuers: dict[bytes, ActorId]) -> HealthPassport:
-    """One record frame, read in one pass from r.data at r.pos: its two
-    fixed layouts unpacked in place, and one bounds check for the rest. Its
-    bytes from the commitment through the issuer id are the signed fields'
-    encoding whenever the method code is canonical, so they become the
-    record's signing_bytes as they stand; with any other method code,
-    signing_bytes raises EncodingError as for a built record.
+def _walk_records(data: bytes, pos: int, count: int) -> tuple[array, int]:
+    """The offsets of count record frames laid end to end from data[pos],
+    and the end of the last. It checks their layout: every field present, a
+    result byte of 0 or 1, a UTF-8 method code."""
+    offsets, code = array("I"), None
+    try:
+        for _ in range(count):
+            offsets.append(pos)
+            if data[pos + COMMITMENT_LEN] > 1:
+                raise EncodingError(f"non-canonical result byte {data[pos + COMMITMENT_LEN]:#04x}")
+            method_end = pos + _RECORD_HEAD.size + data[pos + _RECORD_HEAD.size - 1]
+            signature_len = data[method_end + ACTOR_ID_LEN] << 8 | data[method_end + ACTOR_ID_LEN + 1]
+            if code != data[pos + _RECORD_HEAD.size:method_end]:
+                code = data[pos + _RECORD_HEAD.size:method_end]
+                _read_method(code)
+            pos = method_end + _RECORD_TAIL.size + signature_len
+    except IndexError:
+        raise EncodingError("frame truncated") from None
+    if pos > len(data):
+        raise EncodingError("frame truncated")
+    return offsets, pos
+
+
+def _record_at(data: bytes, start: int, issuers: dict[bytes, ActorId]) -> tuple[HealthPassport, int]:
+    """The record whose frame starts at data[start], read in one pass, and
+    the frame's end: its two fixed layouts unpacked in place, and one bounds
+    check for the rest. Its bytes from the commitment through the issuer id
+    are the signed fields' encoding whenever the method code is canonical,
+    so they become the record's signing_bytes as they stand; with any other
+    method code, signing_bytes raises EncodingError as for a built record.
     A registered issuer is the registry's own ActorId; any other id gets a
-    THF placeholder with no key, which validate_block refuses as
-    UnknownIssuer."""
-    data, start = r.data, r.pos
+    THF placeholder with no key."""
     try:
         commitment, result_byte, tested_at, method_len = _RECORD_HEAD.unpack_from(data, start)
         method_end = start + _RECORD_HEAD.size + method_len
@@ -446,7 +601,6 @@ def read_record(r: Reader, issuers: dict[bytes, ActorId]) -> HealthPassport:
     if result_byte > 1:
         raise EncodingError(f"non-canonical result byte {result_byte:#04x}")
     method, canonical = _read_method(data[start + _RECORD_HEAD.size:method_end])
-    r.pos = end
     issuer = issuers.get(issuer_id)
     if issuer is None:
         issuer = ActorId(role=Role.THF, id=issuer_id, public_key=b"")
@@ -463,6 +617,12 @@ def read_record(r: Reader, issuers: dict[bytes, ActorId]) -> HealthPassport:
     attrs["issuer_signature"] = data[end - signature_len:end]
     if canonical:
         attrs["signing_bytes"] = SIGNING_TAG + data[start:method_end + len(issuer_id)]
+    return record, end
+
+
+def read_record(r: Reader, issuers: dict[bytes, ActorId]) -> HealthPassport:
+    """One record frame, read from r.data at r.pos (see _record_at)."""
+    record, r.pos = _record_at(r.data, r.pos, issuers)
     return record
 
 
@@ -491,28 +651,27 @@ def read_header(r: Reader, authorities: dict[bytes, ActorId]) -> BlockHeader:
 
 
 def block_bytes(block: Block) -> bytes:
-    parts = [header_bytes(block.header), struct.pack(">I", len(block.records))]
-    parts.extend(record_bytes(r) for r in block.records)
-    return b"".join(parts)
+    """The block's frame (Block.frame)."""
+    return block.frame
 
 
-def read_block(r: Reader, registry: Registry) -> Block:
+def parse_block(data: bytes, registry: Registry) -> Block:
+    """The block whose frame is data, which it keeps, with each record
+    frame's layout checked and its offset noted."""
+    data = bytes(data)
+    r = Reader(data)
     header = read_header(r, {a.id: a for a in registry.authorities()})
     count = r.u32()
     if count > MAX_BLOCK_RECORDS:
         raise EncodingError(f"record count {count} exceeds block limit")
-    issuers = registry.issuers()
-    records = tuple(read_record(r, issuers) for _ in range(count))
-    return Block(header=header, records=records)
-
-
-def parse_block(data: bytes, registry: Registry) -> Block:
-    return Reader(data).finish(read_block, registry)
+    offsets, r.pos = _walk_records(data, r.pos, count)
+    r.done()
+    return Block._parsed(header, data, offsets, registry.issuers())
 
 
 def chain_bytes(state: ChainState) -> bytes:
     """Serialized full chain; byte equality means replica agreement."""
-    return b"".join(block_bytes(b) for b in state.blocks)
+    return b"".join(block.frame for block in state.blocks)
 
 
 def token_bytes(token: DhpToken) -> bytes:

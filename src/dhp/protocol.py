@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import struct
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from random import Random
 
 from .core import (
@@ -118,6 +119,13 @@ class VerificationReceipt:
     checked_at: int
     bm_signature: bytes
 
+    @cached_property
+    def signing_bytes(self) -> bytes:
+        """receipt_signing_bytes(self), kept in the instance dict as
+        HealthPassport.signing_bytes is: bm_verify stores the preimage it
+        signed, and any other receipt encodes it on first use."""
+        return receipt_signing_bytes(self)
+
 
 def thf_issue(
     thf: KeyPair,
@@ -153,7 +161,7 @@ def thf_issue(
         issuer_id=thf.owner,
         issuer_signature=sign(thf, preimage),
     )
-    record.__dict__["signing_bytes"] = preimage  # as ledger.read_record keeps a frame's
+    record.__dict__["signing_bytes"] = preimage  # as a record decoded from a frame keeps the frame's
     return PendingDhp(record=record, salt=salt)
 
 
@@ -270,7 +278,11 @@ def bm_verify(
         checked_at=at,
         bm_signature=b"",
     )
-    return outcome, replace(receipt, bm_signature=sign(bm, receipt_signing_bytes(receipt)))
+    # Signed in place before it leaves here: one receipt and one preimage,
+    # which it keeps for its frame.
+    preimage = receipt.signing_bytes
+    object.__setattr__(receipt, "bm_signature", sign(bm, preimage))
+    return outcome, receipt
 
 
 def audit_manifest(
@@ -289,7 +301,7 @@ def audit_manifest(
         member = registry.get(Role.BM, receipt.bm_id.id)
         if member is None:
             raise BadReceiptSignature(i)
-        if not verify_sig(member.public_key, receipt_signing_bytes(receipt), receipt.bm_signature):
+        if not verify_sig(member.public_key, receipt.signing_bytes, receipt.bm_signature):
             raise BadReceiptSignature(i)
         covered.add((receipt.token_header_hash, receipt.record_index))
     return [entry for entry in manifest if entry not in covered]
@@ -315,7 +327,7 @@ def parse_pending(data: bytes, issuers: dict[bytes, ActorId]) -> PendingDhp:
 def receipt_frame_bytes(receipt: VerificationReceipt) -> bytes:
     """Receipt frame: the preimage without its tag, then the u16-length-prefixed signature."""
     signature = receipt.bm_signature
-    return receipt_signing_bytes(receipt)[len(RECEIPT_TAG):] + struct.pack(">H", len(signature)) + signature
+    return receipt.signing_bytes[len(RECEIPT_TAG):] + struct.pack(">H", len(signature)) + signature
 
 
 def read_receipt(r: Reader, registry: Registry) -> VerificationReceipt:

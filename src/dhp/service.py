@@ -25,9 +25,10 @@ root.
 Flags (duplicate, included, located, accepted) are 0 or 1; violation 0 is
 none. Accepted 1: the receiver holds that block. Accepted 0: it does not
 (the block is above its tip, invalid, or conflicts with the one it holds),
-and pulls what it lacks at its next tick. Both ends decode every body
-through core.Reader, so any malformed body is an EncodingError or
-ServiceError, never a crash of the reading thread.
+and pulls what it lacks at its next tick. Only a THF may SUBMIT, an HSA
+ANNOUNCE and a BM VERIFY; any other role gets ERROR (wrong role). Both ends
+decode every body through core.Reader, so any malformed body is an
+EncodingError or ServiceError, never a crash of the reading thread.
 
 A node serves at most MAX_CONNECTIONS connections at once, one thread each;
 a connection past the cap is sent ERROR (rejected) in place of the CHALLENGE
@@ -91,7 +92,6 @@ from .ledger import (
     InvalidBlock,
     admit,
     append_block,
-    block_bytes,
     header_bytes,
     header_hash,
     parse_block,
@@ -382,7 +382,6 @@ class Node:
         self._server: _Server | None = None
         self._stop = threading.Event()
         self._behind = bool(config.peers)  # it may lack blocks its peers hold: the next tick pulls
-        self._tip_frame: bytes | None = None  # the tip's block_bytes, once a block is applied
 
     # -- lifecycle
 
@@ -413,22 +412,17 @@ class Node:
 
     # -- chain writes (single writer discipline)
 
-    def _apply_block(self, block: Block, frame: bytes | None = None) -> bool:
+    def _apply_block(self, block: Block) -> bool:
         """The one way into the chain: append the next block, validated (else
-        InvalidBlock) and logged. True iff the chain holds this very block.
-
-        frame is the block as it arrived, if it did: any frame that parses to
-        a block validate_block accepts is that block's block_bytes, so it is
-        logged as it stands. A block built here is encoded once, and the
-        encoding is kept as the tip's frame for _announce."""
+        InvalidBlock) and logged as its frame. True iff the chain holds this
+        very block."""
         with self._lock:
             height = block.header.height
             if height == len(self._state.blocks):
                 state = append_block(self._state, block, int(time.time()))
-                frame = block_bytes(block) if frame is None else frame
                 # Logged, then published, so disk and memory hold the same chain.
-                self._log.append(block, frame)
-                self._state, self._tip_frame = state, frame
+                self._log.append(block)
+                self._state = state
             return self._state.blocks[height:height + 1] == (block,)
 
     def _loop(self) -> None:
@@ -469,7 +463,7 @@ class Node:
             if frame is None:
                 return
             block = parse_block(frame, self.registry)
-            if block.header.height != height or not self._apply_block(block, frame):
+            if block.header.height != height or not self._apply_block(block):
                 return
 
     # -- request dispatch: each handler decodes the whole body from a Reader
@@ -502,15 +496,14 @@ class Node:
             height = r.finish(Reader.u64)
         if height is None or height >= len(state.blocks):
             return _error(ERR_NOT_FOUND, "unknown block")
-        return bytes((MSG_BLOCK,)) + block_bytes(state.blocks[height])
+        return bytes((MSG_BLOCK,)) + state.blocks[height].frame
 
     def _handle_announce(self, member: ActorId, r: Reader) -> bytes:
         if member.role is not Role.HSA:
             return _error(ERR_WRONG_ROLE, "only authorities announce blocks")
-        frame = r.rest()
-        block = parse_block(frame, self.registry)
+        block = parse_block(r.rest(), self.registry)
         try:
-            accepted, reason = self._apply_block(block, frame), "not the next block"
+            accepted, reason = self._apply_block(block), "not the next block"
         except InvalidBlock as exc:
             accepted, reason = False, exc.error.value
         if not accepted:
@@ -610,17 +603,17 @@ class HsaNode(Node):
             self._announce()
         return block
 
-    def _apply_block(self, block: Block, frame: bytes | None = None) -> bool:
+    def _apply_block(self, block: Block) -> bool:
         """Node._apply_block, then mint the token of each pending credential
         the block holds."""
         with self._lock:
-            held = super()._apply_block(block, frame)
+            held = super()._apply_block(block)
             if held:
                 block_hash = header_hash(block.header)
-                for pos, record in enumerate(block.records):
-                    pending = self._mempool.pop(record.commitment, None)
+                for pos, commitment in enumerate(block.commitments()):
+                    pending = self._mempool.pop(commitment, None)
                     if pending is not None:
-                        self._tokens[record.commitment] = DhpToken(block_hash, pos, pending.salt)
+                        self._tokens[commitment] = DhpToken(block_hash, pos, pending.salt)
         return held
 
     def _announce(self) -> None:
@@ -629,13 +622,12 @@ class HsaNode(Node):
         whose link was open before and has since been dropped (the peer may
         have closed it) gets a second pass on a new link."""
         with self._peer_lock:
-            with self._lock:
-                tip, tip_frame = self._state.tip, self._tip_frame
+            tip = self._state.tip
             height = tip.header.height
             lagging = [peer for peer in self.config.peers if peer not in self._acked]
             if self._stop.is_set() or not height or not lagging:
                 return
-            frame = bytes((MSG_ANNOUNCE,)) + (block_bytes(tip) if tip_frame is None else tip_frame)
+            frame = bytes((MSG_ANNOUNCE,)) + tip.frame
             was_open = set(self._links)
             for _ in range(2):
                 sent = [peer for peer in lagging if self._send(peer, frame, height)]
@@ -702,6 +694,8 @@ class BmNode(Node):
 
     def dispatch_role(self, member: ActorId, kind: int, r: Reader) -> bytes:
         if kind == MSG_VERIFY:
+            if member.role is not Role.BM:
+                return _error(ERR_WRONG_ROLE, "only read-only members ask for signed receipts")
             return self._handle_verify(r)
         return super().dispatch_role(member, kind, r)
 
@@ -836,7 +830,7 @@ class NodeClient:
         return _body(self.request(payload), MSG_OUTCOME).finish(_read_outcome, self._registry)
 
     def announce_block(self, block: Block) -> bool:
-        return _read_ack(self.request(bytes((MSG_ANNOUNCE,)) + block_bytes(block)))
+        return _read_ack(self.request(bytes((MSG_ANNOUNCE,)) + block.frame))
 
 
 def _read_ack(reply: bytes) -> bool:

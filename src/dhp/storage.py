@@ -11,9 +11,12 @@ torn tail. Either way, anything corrupt raises with the exact byte offset of
 the offending frame.
 
 Receipt log: magic "DHPR" + u8 version + length-prefixed receipt frames.
-A writer opening either log trims a torn final frame (truncated write) back
-to the last good boundary, then holds the log open until close(): each
-append is one write of the whole frame and one fsync. A write that fails
+A writer holds its log open until close(), and its first append lands on a
+frame boundary: a torn final frame (truncated write) is trimmed back to the
+last good boundary before it. A receipt log's writer trims when it opens;
+a block log's when it recovers, at the frame where the replay stopped, so a
+cold start reads and splits its block log once. After that, each append is
+one write of the whole frame and one fsync. A write that fails
 part-way is truncated back to the frame's start before the error is raised,
 so the next append still lands on a frame boundary. A failed fsync is
 fail-stop: the log closes before the error is raised, and every later append
@@ -22,8 +25,8 @@ Readers ignore a torn frame.
 Registry file: one member per line, `ROLE hex_id hex_pubkey`; a key that is
 not 32 bytes or has small order, a repeated (role, id), or an id that is not
 the key's actor id, is refused.
-Key file: a single `ROLE hex_id hex_seed` line; public key and id re-derive
-from the seed on load, so tampering is detected.
+Key file: a single `ROLE hex_id hex_seed` line, readable by its owner only;
+public key and id re-derive from the seed on load, so tampering is detected.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from pathlib import Path
 
 from .core import ActorId, DhpError, EncodingError, Registry, Role, parse_u64
 from .crypto import KeyPair, actor_id_for, derive_public, usable_public_key
-from .ledger import Block, ChainState, InvalidBlock, append_block, block_bytes, parse_block
+from .ledger import Block, ChainState, InvalidBlock, append_block, parse_block
 from .protocol import VerificationReceipt, parse_receipt_frame, receipt_frame_bytes
 
 BLOCK_LOG_MAGIC = b"DHPB"
@@ -82,17 +85,6 @@ def registry_mismatch(
         "the block log does not replay under the configured registry, which differs from the data dir's: "
         + (", ".join(names) or "authorities reordered")
     )
-
-
-def _open_log(path: Path, magic: bytes) -> None:
-    """Create a log, or trim its torn tail so the next append starts on a
-    frame boundary."""
-    if not path.exists() or path.stat().st_size == 0:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(magic + bytes((LOG_VERSION,)))
-    _, torn = read_frames(path.read_bytes(), magic, strict=False)
-    if torn is not None:
-        os.truncate(path, torn)
 
 
 def _check_header(data: bytes, magic: bytes) -> None:
@@ -143,8 +135,8 @@ def replay_block_log(
     to parse or validate. Returns (state, torn_offset): torn_offset is the
     position of a truncated final frame in recovery mode, None otherwise.
     """
-    data = Path(path).read_bytes()
-    frames, torn = read_frames(data, BLOCK_LOG_MAGIC, strict)
+    # The whole file is not kept: each block keeps its own frame.
+    frames, torn = read_frames(Path(path).read_bytes(), BLOCK_LOG_MAGIC, strict)
     state = ChainState.genesis(registry, genesis_time=genesis_time)
     for offset, payload in frames:
         try:
@@ -159,16 +151,31 @@ def replay_block_log(
 
 
 class _Log:
-    """Writer side of a log: trim-on-open, then one unbuffered append-mode
-    file held open until close(), so each append is one write and one fsync."""
+    """Writer side of a log: one unbuffered append-mode file held open until
+    close(), so each append is one write and one fsync. A torn tail is
+    trimmed before the first append."""
 
     magic: bytes
 
     def __init__(self, path: Path | str):
         self.path = Path(path)
-        _open_log(self.path, self.magic)
+        fresh = not self.path.exists() or self.path.stat().st_size == 0
+        if fresh:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self.path.write_bytes(self.magic + bytes((LOG_VERSION,)))
         self._file = open(self.path, "ab", buffering=0)
         self._lock = threading.Lock()
+        self._trimmed = fresh
+
+    def _trim(self, torn: int | None) -> None:
+        """Cut the torn final frame that starts at offset torn, if there is
+        one, off the log."""
+        if torn is not None:
+            self._file.truncate(torn)
+        self._trimmed = True
+
+    def _trim_torn_tail(self) -> None:
+        self._trim(read_frames(self.path.read_bytes(), self.magic, strict=False)[1])
 
     def _append(self, payload: bytes) -> None:
         """Append one length-prefixed frame and make it durable before
@@ -182,6 +189,8 @@ class _Log:
         frame = memoryview(struct.pack(">I", len(payload)) + payload)
         try:
             with self._lock:
+                if not self._trimmed:
+                    self._trim_torn_tail()
                 written = 0
                 try:
                     while written < len(frame):
@@ -209,24 +218,32 @@ class _Log:
 
 
 class BlockLog(_Log):
-    """The block log: trim-on-open, recover, append-with-sync."""
+    """The block log: recover (which trims a torn tail), append-with-sync."""
 
     magic = BLOCK_LOG_MAGIC
 
     def recover(self, registry: Registry, now: int, genesis_time: int = 0) -> ChainState:
-        """Replay the log, whose torn tail the open trimmed, without the
-        record signature checks."""
-        return replay_block_log(self.path, registry, now, strict=False, genesis_time=genesis_time)[0]
+        """Replay the log without the record signature checks, and trim the
+        torn tail, if any, at which the replay stopped."""
+        state, torn = replay_block_log(self.path, registry, now, strict=False, genesis_time=genesis_time)
+        with self._lock:
+            self._trim(torn)
+        return state
 
-    def append(self, block: Block, frame: bytes | None = None) -> None:
-        """Log block as frame, its encoding, where the caller holds it."""
-        self._append(block_bytes(block) if frame is None else frame)
+    def append(self, block: Block) -> None:
+        """Log the block as its frame."""
+        self._append(block.frame)
 
 
 class ReceiptLog(_Log):
     """The receipt log; checks on concurrent connections may append at once."""
 
     magic = RECEIPT_LOG_MAGIC
+
+    def __init__(self, path: Path | str):
+        super().__init__(path)
+        if not self._trimmed:
+            self._trim_torn_tail()
 
     def append(self, receipt: VerificationReceipt, frame: bytes | None = None) -> None:
         """Log receipt as frame, its encoding, where the caller holds it."""
@@ -306,7 +323,12 @@ def save_registry(path: Path | str, registry: Registry) -> None:
 
 
 def save_keypair(path: Path | str, key: KeyPair) -> None:
-    Path(path).write_text(f"{key.owner.role.name} {key.owner.id.hex()} {key.secret.hex()}\n")
+    """Write the key file with mode 0600, whatever the umask; an existing
+    file is overwritten, and its mode set to 0600 too."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    with open(fd, "w") as fh:
+        os.fchmod(fd, 0o600)
+        fh.write(f"{key.owner.role.name} {key.owner.id.hex()} {key.secret.hex()}\n")
 
 
 def load_keypair(path: Path | str) -> KeyPair:

@@ -14,9 +14,20 @@ from random import Random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dhp.core import Role, TestMethod
-from dhp.ledger import append_block, block_bytes, merkle_root, parse_block, propose_block
+from dhp.core import EncodingError, Role, TestMethod
+from dhp.ledger import (
+    Block,
+    append_block,
+    block_bytes,
+    merkle_root,
+    parse_block,
+    propose_block,
+    record_leaf,
+    validate_block,
+)
 from dhp.protocol import OutcomeStatus, hsa_register, parse_receipt_frame, receipt_frame_bytes, thf_issue
 from dhp.service import (
     ERR_NOT_FOUND,
@@ -219,8 +230,8 @@ def seeded_records(c, n, methods):
 
 def test_merkle_roots_are_pinned():
     c = Consortium()
-    assert merkle_root(seeded_records(c, 3, [c.method])).hex() == MERKLE_ROOT_3
-    assert merkle_root(seeded_records(c, 256, [c.method])).hex() == MERKLE_ROOT_256
+    assert merkle_root(map(record_leaf, seeded_records(c, 3, [c.method]))).hex() == MERKLE_ROOT_3
+    assert merkle_root(map(record_leaf, seeded_records(c, 256, [c.method]))).hex() == MERKLE_ROOT_256
 
 
 def test_merkle_roots_at_0_1_and_2_leaves_are_pinned():
@@ -231,10 +242,14 @@ def test_merkle_roots_at_0_1_and_2_leaves_are_pinned():
         assert block.header.merkle_root.hex() == pinned
 
 
+def pinned_block(c):
+    """Block 1 over 5 seeded credentials under two method codes."""
+    return propose_block(c.state, seeded_records(c, 5, [c.method, TestMethod("RAT")]), c.hsa_keys[1], T0 + 60)
+
+
 def test_block_frame_and_block_log_are_pinned(tmp_path):
     c = Consortium()
-    records = seeded_records(c, 5, [c.method, TestMethod("RAT")])
-    block = propose_block(c.state, records, c.hsa_keys[1], T0 + 60)
+    block = pinned_block(c)
     state = append_block(c.state, block, T0 + 60)
     frame = block_bytes(block)
     assert (len(frame), hashlib.sha256(frame).hexdigest()) == (BLOCK_FRAME_LEN, BLOCK_FRAME_SHA256)
@@ -244,3 +259,31 @@ def test_block_frame_and_block_log_are_pinned(tmp_path):
     assert hashlib.sha256(log.path.read_bytes()).hexdigest() == BLOCK_LOG_SHA256
     replayed, torn = replay_block_log(log.path, c.registry, T0 + 60, strict=True, genesis_time=c.genesis_time)
     assert (replayed.blocks, torn) == (state.blocks, None)
+
+
+PINNED = SimpleNamespace(c=Consortium())
+PINNED.frame = block_bytes(pinned_block(PINNED.c))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(pos=st.integers(0, BLOCK_FRAME_LEN - 1), value=st.integers(0, 255))
+@example(pos=0, value=PINNED.frame[0])
+@example(pos=BLOCK_FRAME_LEN - 1, value=PINNED.frame[-1])
+def test_a_one_byte_change_to_the_pinned_block_frame_is_refused(pos, value):
+    """Any one byte of the pinned frame set to any other value fails to parse
+    or is refused by validate_block, signatures checked or not; the frame as
+    pinned is accepted, and re-encodes from its decoded records to itself."""
+    c = PINNED.c
+    frame = bytearray(PINNED.frame)
+    frame[pos] = value
+    try:
+        block = parse_block(bytes(frame), c.registry)
+    except EncodingError:
+        assert frame != PINNED.frame
+        return
+    errors = [validate_block(c.state, block, T0 + 60, record_sigs) for record_sigs in (True, False)]
+    if frame != PINNED.frame:
+        assert None not in errors
+    else:
+        assert errors == [None, None]
+        assert block_bytes(Block(block.header, block.records)) == PINNED.frame

@@ -29,6 +29,7 @@ from dhp.ledger import (
     header_signing_bytes,
     lookup_by_token,
     merkle_root,
+    record_leaf,
     parse_block,
     parse_token,
     propose_block,
@@ -82,7 +83,7 @@ def test_merkle_single_record_is_leaf(consortium):
     leaf = hashlib.sha256(
         b"LEAF|" + record_signing_bytes(p.record) + p.record.issuer_signature
     ).digest()
-    assert merkle_root((p.record,)) == leaf
+    assert merkle_root(map(record_leaf, (p.record,))) == leaf
     assert p.record.signing_bytes == record_signing_bytes(p.record)
     later = replace(p.record, tested_at=p.record.tested_at + 1)
     assert later.signing_bytes == record_signing_bytes(later) != p.record.signing_bytes
@@ -94,7 +95,8 @@ def test_merkle_two_records_hand_composed(consortium):
         hashlib.sha256(b"LEAF|" + record_signing_bytes(p.record) + p.record.issuer_signature).digest()
         for p in (a, b)
     ]
-    assert merkle_root((a.record, b.record)) == hashlib.sha256(b"NODE|" + leaves[0] + leaves[1]).digest()
+    root = merkle_root(map(record_leaf, (a.record, b.record)))
+    assert root == hashlib.sha256(b"NODE|" + leaves[0] + leaves[1]).digest()
 
 
 def test_merkle_odd_layer_duplicates_last(consortium):
@@ -105,7 +107,7 @@ def test_merkle_odd_layer_duplicates_last(consortium):
     ]
     n01 = hashlib.sha256(b"NODE|" + leaves[0] + leaves[1]).digest()
     n22 = hashlib.sha256(b"NODE|" + leaves[2] + leaves[2]).digest()
-    assert merkle_root(records) == hashlib.sha256(b"NODE|" + n01 + n22).digest()
+    assert merkle_root(map(record_leaf, records)) == hashlib.sha256(b"NODE|" + n01 + n22).digest()
 
 
 # --- header hashing ----------------------------------------------------------
@@ -261,7 +263,7 @@ def test_validate_errors_in_precedence_order(consortium):
     ghost = thf_issue(stranger, make_doc(9), True, c.method, T0, now=T0, rng=Random(5)).record
     records = tuple(sorted(block.records + (ghost,), key=lambda r: r.commitment))
     unknown = resign(
-        Block(replace(block.header, merkle_root=merkle_root(records)), records), hsa
+        Block(replace(block.header, merkle_root=merkle_root(map(record_leaf, records))), records), hsa
     )
     assert validate_block(state, unknown, T0 + 200) is BlockError.UNKNOWN_ISSUER
 
@@ -269,7 +271,7 @@ def test_validate_errors_in_precedence_order(consortium):
     flipped[3] ^= 0x10
     records = (replace(block.records[0], issuer_signature=bytes(flipped)),) + block.records[1:]
     bad_record = resign(
-        Block(replace(block.header, merkle_root=merkle_root(records)), records), hsa
+        Block(replace(block.header, merkle_root=merkle_root(map(record_leaf, records))), records), hsa
     )
     assert validate_block(state, bad_record, T0 + 200) is BlockError.BAD_RECORD_SIG
 
@@ -281,7 +283,7 @@ def test_validate_errors_in_precedence_order(consortium):
 
     swapped = (block.records[1], block.records[0])
     out_of_order = resign(
-        Block(replace(block.header, merkle_root=merkle_root(swapped)), swapped), hsa
+        Block(replace(block.header, merkle_root=merkle_root(map(record_leaf, swapped))), swapped), hsa
     )
     assert validate_block(state, out_of_order, T0 + 200) is BlockError.BAD_ORDERING
 
@@ -295,7 +297,8 @@ def test_validate_errors_in_precedence_order(consortium):
     early_repeat = resign(Block(replace(repeat.header, block_time=T0 - 1), records), c.hsa_keys[0])
     assert validate_block(held, early_repeat, T0 + 200) is BlockError.DUPLICATE_RECORD
     unordered_repeat = resign(
-        Block(replace(repeat.header, merkle_root=merkle_root(records[::-1])), records[::-1]), c.hsa_keys[0]
+        Block(replace(repeat.header, merkle_root=merkle_root(map(record_leaf, records[::-1]))), records[::-1]),
+        c.hsa_keys[0],
     )
     assert validate_block(held, unordered_repeat, T0 + 200) is BlockError.BAD_ORDERING
 
@@ -312,9 +315,28 @@ def test_validate_errors_in_precedence_order(consortium):
     ).record
     records = tuple(sorted(block.records + (backdated,), key=lambda r: r.commitment))
     time_travel = resign(
-        Block(replace(block.header, merkle_root=merkle_root(records)), records), hsa
+        Block(replace(block.header, merkle_root=merkle_root(map(record_leaf, records))), records), hsa
     )
     assert validate_block(state, time_travel, T0 + 200) is BlockError.BAD_TIMESTAMP
+
+
+def test_the_first_record_to_break_an_issuer_rule_names_the_error(consortium):
+    """Of a record with a forged signature and one from an unregistered
+    facility, whichever comes first in the block decides between
+    BadRecordSig and UnknownIssuer."""
+    c = consortium
+    header = build_block(c, c.state, count=1)[0].header
+    stranger = seeded_key(Role.THF, "ghost")
+    ghost = thf_issue(stranger, make_doc(9), True, c.method, T0, now=T0, rng=Random(5)).record
+    records = [replace(issue(c, i).record, issuer_signature=bytes(64)) for i in range(50, 70)]
+    forged_before = next(r for r in records if r.commitment < ghost.commitment)
+    forged_after = next(r for r in records if r.commitment > ghost.commitment)
+    for pair, error in (
+        ((forged_before, ghost), BlockError.BAD_RECORD_SIG),
+        ((ghost, forged_after), BlockError.UNKNOWN_ISSUER),
+    ):
+        block = resign(Block(replace(header, merkle_root=merkle_root(map(record_leaf, pair))), pair), c.hsa_keys[1])
+        assert validate_block(c.state, block, T0 + 200) is error
 
 
 def test_propose_rejects_future_tested_at(consortium):
@@ -350,7 +372,7 @@ def test_append_then_lookup(consortium):
     block, pendings = build_block(consortium, consortium.state, count=3)
     state = append_block(consortium.state, block, T0 + 200)
     for p in pendings:
-        height, pos = state.index[p.record.commitment]
+        height, pos = state.locate(p.record.commitment)
         assert state.blocks[height].records[pos] == p.record
 
 
@@ -512,7 +534,8 @@ def test_held_states_answer_as_before_while_a_writer_appends(consortium):
 
 def test_index_soundness_and_completeness(consortium):
     state = grow_chain(consortium, 12, per_block=3)
-    for commitment, (height, pos) in state.index.items():
+    for commitment in state.index:
+        height, pos = state.locate(commitment)
         assert state.blocks[height].records[pos].commitment == commitment
     on_chain = [r.commitment for b in state.blocks for r in b.records]
     assert sorted(on_chain) == sorted(state.index.keys())
@@ -529,7 +552,7 @@ def test_authority_exclusivity_property(consortium):
         header_fields = dict(
             height=len(state.blocks),
             prev_hash=header_hash(state.tip.header),
-            merkle_root=merkle_root((pending.record,)),
+            merkle_root=merkle_root(map(record_leaf, (pending.record,))),
             block_time=T0 + 500,
             authority_signature=b"",
         )

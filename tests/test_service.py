@@ -13,9 +13,11 @@ from random import Random
 
 import pytest
 
+import dhp.ledger
 import dhp.service
 import dhp.storage
 from dhp.core import EncodingError, Registry, Role, TestMethod, canonical_doc_bytes
+from dhp.crypto import Salt
 from dhp.ledger import (
     MAX_BLOCK_RECORDS,
     Block,
@@ -45,11 +47,13 @@ from dhp.service import (
     MSG_CHALLENGE,
     MSG_ERROR,
     MSG_GET_BLOCK_AT,
+    MSG_OUTCOME,
     MSG_VERIFY,
     NodeClient,
     NodeConfig,
     ServiceError,
     _Handler,
+    build_node,
     parse_node_config,
     recv_frame,
     send_frame,
@@ -275,6 +279,71 @@ def token_height(hsa, token):
     return hsa.state.header_index[token.header_hash]
 
 
+def counted(monkeypatch, name):
+    """The calls of the function bound as name, counted at every dhp module
+    that binds it, as the benchmark's tracer wraps it."""
+    calls = []
+    for key, module in list(sys.modules.items()):
+        original = getattr(module, name, None) if key == "dhp" or key.startswith("dhp.") else None
+        if callable(original):
+            def counting(*args, _original=original, **kwargs):
+                calls.append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_a_verify_makes_one_receipt_and_one_preimage(net, monkeypatch):
+    """A check builds one receipt object and encodes its signed preimage
+    once, for the signature, the receipt log and the OUTCOME reply."""
+    c, hsa, bm = net
+    doc, tested_at = make_doc(9), int(time.time())
+    pending = thf_issue(c.thf_keys[0], doc, True, c.method, tested_at, now=tested_at, rng=Random(9))
+    with connect(hsa, c.thf_keys[0], c.registry) as client:
+        token = client.wait_for_token(client.submit_dhp(pending)[0])
+    assert wait_until(lambda: bm.state.height >= token_height(hsa, token))
+    frame = bytes((MSG_VERIFY,)) + token_bytes(token) + struct.pack(">Q", tested_at + 60) + canonical_doc_bytes(doc)
+    preimages, replaced = counted(monkeypatch, "receipt_signing_bytes"), counted(monkeypatch, "replace")
+    replies = [bm.dispatch(c.bm_keys[0].owner, frame) for _ in range(100)]
+    assert (len(preimages), len(replaced)) == (100, 0)
+    assert all(reply[:2] == bytes((MSG_OUTCOME, OutcomeStatus.VALID.value)) for reply in replies)
+    assert len(ReceiptLog(bm.config.data_dir / "receipts.log").read_all(c.registry)) == 100
+
+
+def test_only_a_read_only_member_may_ask_a_member_for_a_signed_receipt(net):
+    """A facility or an authority asking a member to VERIFY gets
+    ERR_WRONG_ROLE, and the member signs and logs no receipt."""
+    c, hsa, bm = net
+    token = DhpToken(bytes(32), 0, Salt(bytes(16)))
+    for key in (c.thf_keys[0], c.hsa_keys[0]):
+        with connect(bm, key, c.registry) as client:
+            with pytest.raises(ServiceError) as refused:
+                client.verify(token, make_doc(1), 1)
+        assert refused.value.code == ERR_WRONG_ROLE
+    assert ReceiptLog(bm.config.data_dir / "receipts.log").read_all(c.registry) == []
+    with connect(bm, c.bm_keys[0], c.registry) as client:
+        outcome, _ = client.verify(token, make_doc(1), 1)
+    assert outcome.status is OutcomeStatus.NOT_FOUND
+    assert len(ReceiptLog(bm.config.data_dir / "receipts.log").read_all(c.registry)) == 1
+
+
+def test_get_block_serves_the_frame_the_node_logged(solo, monkeypatch):
+    """Blocks asked for by height or by hash, one of them twice, are sent as
+    the frames the authority logged, with no block encoded again."""
+    c, hsa = solo
+    for i in range(3):
+        submit(hsa, c, 150 + i)
+        hsa.propose_once()
+    encodes = [counted(monkeypatch, "block_bytes"), counted(monkeypatch, "record_bytes")]
+    with connect(hsa, c.thf_keys[0], c.registry) as client:
+        frames = [client.block_frame_at(height) for height in (1, 2, 3)]
+        again = client.get_block(header_hash(hsa.state.blocks[2].header))
+    assert encodes == [[], []]
+    assert frames == logged_frames(hsa)
+    assert again == parse_block(frames[1], c.registry)
+
+
 def test_stopped_member_writes_no_receipt_and_reopens_whole(net, capsys):
     """After stop() the receipt log is closed: an append, direct or from a
     handler still serving an open connection, raises OSError and writes
@@ -393,8 +462,8 @@ def test_a_token_survives_an_authority_restart(net):
     pending = issue(c, 21)
     with connect(hsa, c.thf_keys[0], c.registry) as client:
         client.submit_dhp(pending)
-    assert wait_until(lambda: pending.record.commitment in hsa.state.index)
-    height, index = hsa.state.index[pending.record.commitment]
+    assert wait_until(lambda: hsa.state.locate(pending.record.commitment) is not None)
+    height, index = hsa.state.locate(pending.record.commitment)
     hsa.stop()
     reborn = HsaNode(replace(hsa.config, listen=("127.0.0.1", 0)))
     reborn.start()
@@ -664,21 +733,21 @@ def logged_frames(node):
 
 
 def test_a_block_is_encoded_once_where_it_is_made_and_never_where_it_arrives(tmp_path, monkeypatch):
-    """The authority encodes each block it proposes once, for its log and its
-    ANNOUNCE; a member logs the ANNOUNCE frame it was sent, and a node that
-    pulls logs each BLOCK frame it was sent. Every logged frame is the
-    block_bytes of the block its node holds."""
+    """The authority encodes each block it proposes once (each record of it
+    once), for its log and its ANNOUNCE; a member logs the ANNOUNCE frame it
+    was sent, and a node that pulls logs each BLOCK frame it was sent. Every
+    logged frame is the block_bytes of the block its node holds."""
     c, (hsa,) = parked_authorities(tmp_path, 1, num_bm=3)
     members = [start_member(tmp_path, c, i) for i in range(3)]
     hsa.config.peers = [m.address for m in members[:2]]
     encoded = []
+    encode = dhp.ledger.record_bytes
 
-    def counting(block):
-        encoded.append(block)
-        return block_bytes(block)
+    def counting(record):
+        encoded.append(record)
+        return encode(record)
 
-    monkeypatch.setattr(dhp.service, "block_bytes", counting)
-    monkeypatch.setattr(dhp.storage, "block_bytes", counting)
+    monkeypatch.setattr(dhp.ledger, "record_bytes", counting)
     try:
         blocks = []
         for i in range(2):
@@ -697,7 +766,7 @@ def test_a_block_is_encoded_once_where_it_is_made_and_never_where_it_arrives(tmp
             members[2].config.peers = [address]
             members[2].sync_from_peers()
         assert members[2].state.blocks[1:] == tuple(blocks)
-        assert encoded == blocks
+        assert encoded == [record for block in blocks for record in block.records]
         for node in (hsa, *members):
             assert logged_frames(node) == sent == [block_bytes(b) for b in node.state.blocks[1:]]
     finally:
@@ -1270,6 +1339,37 @@ def three_block_authority(tmp_path, c):
     finally:
         node.stop()
     return config
+
+
+def test_a_cold_start_reads_and_splits_its_block_log_once(tmp_path, monkeypatch):
+    """Recovery reads and splits the block log once, and trims a torn tail
+    at the frame where that one replay stopped: the next block lands on a
+    frame boundary."""
+    c = Consortium(num_hsa=1, num_thf=2, num_bm=0, genesis_time=0)
+    config = three_block_authority(tmp_path, c)
+    path = config.data_dir / "blocks.log"
+    whole = path.read_bytes()
+    path.write_bytes(whole + whole[5:40])  # a torn fourth frame
+    splits = []
+    split = dhp.storage.read_frames
+
+    def counting(data, magic, strict):
+        if magic == BLOCK_LOG_MAGIC:
+            splits.append(len(data))
+        return split(data, magic, strict)
+
+    monkeypatch.setattr(dhp.storage, "read_frames", counting)
+    node = build_node(config)
+    try:
+        assert splits == [len(whole) + 35] and node.state.height == 3
+        assert path.read_bytes() == whole
+        pending = thf_issue(c.thf_keys[0], make_doc(90), True, c.method, int(time.time()), rng=Random(90))
+        node._mempool[pending.record.commitment] = pending
+        assert node.propose_once().header.height == 4
+    finally:
+        node.stop()
+    replayed, torn = replay_block_log(path, c.registry, int(time.time()), strict=True)
+    assert (replayed.height, torn) == (4, None)
 
 
 def test_a_removed_facility_is_a_registry_mismatch_not_a_corrupt_log(tmp_path):

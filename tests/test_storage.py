@@ -2,6 +2,7 @@ import builtins
 import os
 import resource
 import signal
+import stat
 import struct
 import threading
 
@@ -392,6 +393,24 @@ def test_keypair_file_round_trip(tmp_path):
     path = tmp_path / "hsa.key"
     save_keypair(path, key)
     assert load_keypair(path) == key
+
+
+def test_a_key_file_is_readable_by_its_owner_only(tmp_path):
+    """Under umask 022 a new key file, and one written over an existing
+    world-readable file, both get mode 0600."""
+    key = seeded_key(Role.HSA, "persisted")
+    fresh, existing = tmp_path / "fresh.key", tmp_path / "existing.key"
+    existing.write_text("old\n")
+    existing.chmod(0o644)
+    umask = os.umask(0o022)
+    try:
+        for path in (fresh, existing):
+            save_keypair(path, key)
+    finally:
+        os.umask(umask)
+    for path in (fresh, existing):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        assert load_keypair(path) == key
 
 
 def test_keypair_file_tamper_detected(tmp_path):

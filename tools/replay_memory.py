@@ -8,7 +8,8 @@ and builds the member node from it with `build_node`, as `dhp bm run` does,
 under tracemalloc. Prints one JSON line: the records replayed, the bytes per
 record still allocated once the node is built (after), and the highest
 allocation per record while it was being built (peak). Allocations made
-before the build, such as the history itself, are not counted.
+before the build, such as the history itself, are not counted. Exits 1 if
+either figure is above LIMIT_BYTES_PER_RECORD.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from common import load_dhp, memo_clear  # noqa: E402
+
+#: A member holds each block's frame (132 B per record in this history) and
+#: one index entry per record; this bounds both, after the replay and at peak.
+LIMIT_BYTES_PER_RECORD = 300
 
 
 def main() -> int:
@@ -47,13 +52,15 @@ def main() -> int:
             tracemalloc.stop()
         records = len(node.state.index)
         node.stop()
-    print(json.dumps({
+    report = {
         "seed": args.seed,
         "records": records,
         "after_bytes_per_record": round(after / records),
         "peak_bytes_per_record": round(peak / records),
-    }))
-    return 0
+        "limit_bytes_per_record": LIMIT_BYTES_PER_RECORD,
+    }
+    print(json.dumps(report))
+    return 0 if peak / records <= LIMIT_BYTES_PER_RECORD else 1  # peak >= after
 
 
 if __name__ == "__main__":
