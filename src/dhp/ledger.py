@@ -184,11 +184,11 @@ class _FrameRecords(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(self[i] for i in range(*index.indices(len(self))))
-        return _record_at(self._frame, self._offsets[index], self._issuers)[0]
+        return _record_at(self._frame, self._offsets[index], self._issuers)
 
     def __iter__(self) -> Iterator[HealthPassport]:
         frame, issuers = self._frame, self._issuers
-        return (_record_at(frame, start, issuers)[0] for start in self._offsets)
+        return (_record_at(frame, start, issuers) for start in self._offsets)
 
 
 @dataclass(frozen=True)
@@ -580,26 +580,19 @@ def _walk_records(data: bytes, pos: int, count: int) -> tuple[array, int]:
     return offsets, pos
 
 
-def _record_at(data: bytes, start: int, issuers: dict[bytes, ActorId]) -> tuple[HealthPassport, int]:
-    """The record whose frame starts at data[start], read in one pass, and
-    the frame's end: its two fixed layouts unpacked in place, and one bounds
-    check for the rest. Its bytes from the commitment through the issuer id
+def _record_at(data: bytes, start: int, issuers: dict[bytes, ActorId]) -> HealthPassport:
+    """The record whose frame starts at data[start], its layout already
+    checked by _walk_records, read in one pass: its two fixed layouts
+    unpacked in place. Its bytes from the commitment through the issuer id
     are the signed fields' encoding whenever the method code is canonical,
     so they become the record's signing_bytes as they stand; with any other
     method code, signing_bytes raises EncodingError as for a built record.
     A registered issuer is the registry's own ActorId; any other id gets a
     THF placeholder with no key."""
-    try:
-        commitment, result_byte, tested_at, method_len = _RECORD_HEAD.unpack_from(data, start)
-        method_end = start + _RECORD_HEAD.size + method_len
-        issuer_id, signature_len = _RECORD_TAIL.unpack_from(data, method_end)
-    except struct.error:
-        raise EncodingError("frame truncated") from None
+    commitment, result_byte, tested_at, method_len = _RECORD_HEAD.unpack_from(data, start)
+    method_end = start + _RECORD_HEAD.size + method_len
+    issuer_id, signature_len = _RECORD_TAIL.unpack_from(data, method_end)
     end = method_end + _RECORD_TAIL.size + signature_len
-    if end > len(data):
-        raise EncodingError("frame truncated")
-    if result_byte > 1:
-        raise EncodingError(f"non-canonical result byte {result_byte:#04x}")
     method, canonical = _read_method(data[start + _RECORD_HEAD.size:method_end])
     issuer = issuers.get(issuer_id)
     if issuer is None:
@@ -617,12 +610,14 @@ def _record_at(data: bytes, start: int, issuers: dict[bytes, ActorId]) -> tuple[
     attrs["issuer_signature"] = data[end - signature_len:end]
     if canonical:
         attrs["signing_bytes"] = SIGNING_TAG + data[start:method_end + len(issuer_id)]
-    return record, end
+    return record
 
 
 def read_record(r: Reader, issuers: dict[bytes, ActorId]) -> HealthPassport:
-    """One record frame, read from r.data at r.pos (see _record_at)."""
-    record, r.pos = _record_at(r.data, r.pos, issuers)
+    """One record frame, read from r.data at r.pos once _walk_records has
+    checked its layout (see _record_at)."""
+    _, end = _walk_records(r.data, r.pos, 1)
+    record, r.pos = _record_at(r.data, r.pos, issuers), end
     return record
 
 

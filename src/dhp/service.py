@@ -25,10 +25,13 @@ root.
 Flags (duplicate, included, located, accepted) are 0 or 1; violation 0 is
 none. Accepted 1: the receiver holds that block. Accepted 0: it does not
 (the block is above its tip, invalid, or conflicts with the one it holds),
-and pulls what it lacks at its next tick. Only a THF may SUBMIT, an HSA
-ANNOUNCE and a BM VERIFY; any other role gets ERROR (wrong role). Both ends
-decode every body through core.Reader, so any malformed body is an
-EncodingError or ServiceError, never a crash of the reading thread.
+and pulls what it lacks at its next tick. Each node type's ROUTES table is
+the list of who may send what; another sender gets ERROR (wrong role), and a
+type the node does not serve ERROR (malformed). A token goes only to the THF
+that issued its credential: to any other member the credential is unknown
+(ERROR not found). Both ends decode every body through core.Reader, so any
+malformed body is an EncodingError or ServiceError, never a crash of the
+reading thread.
 
 A node serves at most MAX_CONNECTIONS connections at once, one thread each;
 a connection past the cap is sent ERROR (rejected) in place of the CHALLENGE
@@ -40,14 +43,14 @@ Each node owns its chain through a single writer lock; request handlers read
 immutable snapshots. Appended blocks are persisted to the node's block log
 before they are announced.
 
-Each node ticks every block_interval. A node that lacks blocks pulls them
-forward from its tip at its first tick and at the tick after it refuses an
+Every node holds one open authenticated link per peer, opened by
+Node._link (the one place a node connects) and dropped on any error; a peer
+whose open link failed gets a second pass on a new link. Each node ticks
+every block_interval. A node that lacks blocks pulls them forward from its
+tip over its links, at its first tick and at the tick after it refuses an
 ANNOUNCE. An authority sends only its tip, after each block it makes and at
-each idle tick while a peer has not acked it, to every such peer before it
-reads any ack, over one held-open authenticated link per peer, dropped on
-any error; a peer whose open link failed gets a second pass on a new link.
-An authority pulls over the same links; a member opens a connection for
-each pull.
+each idle tick while a peer has not acked it, over the same links, to every
+such peer before it reads any ack.
 """
 
 from __future__ import annotations
@@ -135,6 +138,8 @@ MAX_CONNECTIONS = 64
 #: Seconds a connection has to answer the challenge, and to send its next request.
 AUTH_TIMEOUT = 5.0
 IDLE_TIMEOUT = 60.0
+#: Seconds a node or client has to connect and for each reply on the link.
+CONNECT_TIMEOUT = 5.0
 #: Seconds between a serving node's checks for a stop.
 STOP_POLL = 0.05
 
@@ -351,7 +356,8 @@ def _body(frame: bytes, kind: int) -> Reader:
 
 
 class Node:
-    """Common node machinery: chain ownership, persistence, read endpoints."""
+    """Common node machinery: chain ownership, persistence, read endpoints,
+    and one held link to each peer."""
 
     def __init__(self, config: NodeConfig):
         self.config = config
@@ -382,6 +388,11 @@ class Node:
         self._server: _Server | None = None
         self._stop = threading.Event()
         self._behind = bool(config.peers)  # it may lack blocks its peers hold: the next tick pulls
+        # The held-open link to each peer pulled from or announced to.
+        # _peer_lock guards it (and an authority's _acked): a caller's thread
+        # may propose while the tick thread pulls or re-announces.
+        self._links: dict[tuple[str, int], NodeClient] = {}
+        self._peer_lock = threading.RLock()
 
     # -- lifecycle
 
@@ -392,14 +403,18 @@ class Node:
         threading.Thread(target=self._loop, daemon=True).start()
 
     def stop(self) -> None:
-        """Stop serving and ticking, and close the node's logs: a handler or tick
-        still running gets OSError from any append, and writes nothing."""
+        """Stop serving and ticking, close the node's logs (a handler or tick
+        still running gets OSError from any append, and writes nothing), then
+        close the peer links; none is opened after."""
         self._stop.set()
         if self._server is not None:
             self._server.shutdown()
             self._server.server_close()
             self._server = None
         self._log.close()
+        with self._peer_lock:
+            for peer in list(self._links):
+                self._drop(peer)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -452,45 +467,70 @@ class Node:
                             (time.perf_counter() - t0) * 1e3)
 
     def _pull(self, peer: tuple[str, int]) -> None:
-        """Pull from peer over a connection of its own."""
-        with NodeClient.connect(*peer, key=self.key, registry=self.registry) as client:
-            self._pull_over(client)
+        """Pull from peer over its held link, as an authority announces: a
+        link that fails is dropped, and one open before gets a second pass on
+        a new link. A stopped node opens none."""
+        with self._peer_lock:
+            if self._stop.is_set():
+                return
+            for held in (peer in self._links, False):
+                try:
+                    client = self._link(peer)
+                    while True:
+                        height = len(self._state.blocks)
+                        frame = client.block_frame_at(height)
+                        if frame is None:
+                            return
+                        block = parse_block(frame, self.registry)
+                        if block.header.height != height or not self._apply_block(block):
+                            return
+                except (OSError, DhpError):
+                    self._drop(peer)
+                    if not held:
+                        raise
 
-    def _pull_over(self, client: NodeClient) -> None:
-        while True:
-            height = len(self._state.blocks)
-            frame = client.block_frame_at(height)
-            if frame is None:
-                return
-            block = parse_block(frame, self.registry)
-            if block.header.height != height or not self._apply_block(block):
-                return
+    def _link(self, peer: tuple[str, int]) -> NodeClient:
+        """The held link to peer, opened if there is none."""
+        if peer not in self._links:
+            self._links[peer] = NodeClient.connect(*peer, key=self.key, registry=self.registry)
+        return self._links[peer]
+
+    def _drop(self, peer: tuple[str, int]) -> None:
+        link = self._links.pop(peer, None)
+        if link is not None:
+            link.close()
 
     # -- request dispatch: each handler decodes the whole body from a Reader
 
+    #: Each message the node serves: the one role that may send it (None: any
+    #: member), and the name of its handler, called with (member, reader).
+    ROUTES: dict[int, tuple[Role | None, str]] = {
+        MSG_GET_BLOCK: (None, "_handle_get_block"),
+        MSG_GET_BLOCK_AT: (None, "_handle_get_block"),
+        MSG_GET_HEAD: (None, "_handle_get_head"),
+        MSG_ANNOUNCE: (Role.HSA, "_handle_announce"),
+    }
+
     def dispatch(self, member: ActorId, frame: bytes) -> bytes:
+        """The reply to one request from member: the one way into a node."""
         r = Reader(frame)
         try:
             kind = r.u8()
-            if kind in (MSG_GET_BLOCK, MSG_GET_BLOCK_AT):
-                return self._handle_get_block(kind, r)
-            if kind == MSG_GET_HEAD:
-                r.done()
-                return bytes((MSG_HEAD,)) + header_bytes(self._state.tip.header)
-            if kind == MSG_ANNOUNCE:
-                return self._handle_announce(member, r)
-            return self.dispatch_role(member, kind, r)
+            route = self.ROUTES.get(kind)
+            if route is None:
+                return _error(ERR_MALFORMED, f"unsupported message {kind:#04x}")
+            role, handler = route
+            if role is not None and member.role is not role:
+                return _error(ERR_WRONG_ROLE, f"only a {role.name} may send message {kind:#04x}")
+            return getattr(self, handler)(member, r)
         except EncodingError as exc:
             return _error(ERR_MALFORMED, str(exc))
         except DhpError as exc:
             return _error(ERR_REJECTED, str(exc))
 
-    def dispatch_role(self, member: ActorId, kind: int, r: Reader) -> bytes:
-        return _error(ERR_MALFORMED, f"unsupported message {kind:#04x}")
-
-    def _handle_get_block(self, kind: int, r: Reader) -> bytes:
+    def _handle_get_block(self, member: ActorId, r: Reader) -> bytes:
         state = self._state
-        if kind == MSG_GET_BLOCK:
+        if r.data[0] == MSG_GET_BLOCK:
             height = state.height_of(r.finish(Reader.take, 32))
         else:
             height = r.finish(Reader.u64)
@@ -498,9 +538,11 @@ class Node:
             return _error(ERR_NOT_FOUND, "unknown block")
         return bytes((MSG_BLOCK,)) + state.blocks[height].frame
 
+    def _handle_get_head(self, member: ActorId, r: Reader) -> bytes:
+        r.done()
+        return bytes((MSG_HEAD,)) + header_bytes(self._state.tip.header)
+
     def _handle_announce(self, member: ActorId, r: Reader) -> bytes:
-        if member.role is not Role.HSA:
-            return _error(ERR_WRONG_ROLE, "only authorities announce blocks")
         block = parse_block(r.rest(), self.registry)
         try:
             accepted, reason = self._apply_block(block), "not the next block"
@@ -517,40 +559,27 @@ class HsaNode(Node):
     """Authority node: accepts facility submissions, proposes blocks at its
     scheduled heights, and announces them to peers. A pending credential's
     token is minted when any block that includes it enters the chain, and is
-    kept in memory only (the salt never touches disk). After a restart, a
-    resubmission by a credential's issuer mints its token from the chain."""
+    kept in memory only (the salt never touches disk), next to the id of the
+    facility that issued it, the only member it is given to. After a restart,
+    a resubmission by a credential's issuer mints its token from the chain."""
+
+    ROUTES = {
+        **Node.ROUTES,
+        MSG_SUBMIT: (Role.THF, "_handle_submit"),
+        MSG_GET_TOKEN: (Role.THF, "_handle_get_token"),
+    }
 
     def __init__(self, config: NodeConfig):
         super().__init__(config)
         self._mempool: dict[bytes, PendingDhp] = {}
-        self._tokens: dict[bytes, DhpToken] = {}
+        # commitment -> (issuer id, token)
+        self._tokens: dict[bytes, tuple[bytes, DhpToken]] = {}
         # Peers known to hold the block last announced: none after a start,
         # which may follow a crash between logging and announcing a block, so
         # the first idle tick re-announces the tip.
         self._acked: set[tuple[str, int]] = set()
-        # The held-open link to each peer announced to or pulled from.
-        # _peer_lock guards these and _acked: propose_once may run on a
-        # caller's thread while the tick thread re-announces or pulls.
-        self._links: dict[tuple[str, int], NodeClient] = {}
-        self._peer_lock = threading.RLock()
-
-    def stop(self) -> None:
-        """Node.stop, then close the peer links; none is opened after."""
-        super().stop()
-        with self._peer_lock:
-            for peer in list(self._links):
-                self._drop(peer)
-
-    def dispatch_role(self, member: ActorId, kind: int, r: Reader) -> bytes:
-        if kind == MSG_SUBMIT:
-            return self._handle_submit(member, r)
-        if kind == MSG_GET_TOKEN:
-            return self._handle_get_token(r)
-        return super().dispatch_role(member, kind, r)
 
     def _handle_submit(self, member: ActorId, r: Reader) -> bytes:
-        if member.role is not Role.THF:
-            return _error(ERR_WRONG_ROLE, "only testing facilities submit credentials")
         pending = r.finish(read_pending, self.registry.issuers())
         error = admit(self._state, pending.record, int(time.time()))
         if error is not None:
@@ -565,7 +594,7 @@ class HsaNode(Node):
                 # Only the issuer: anyone can copy a record off the chain and
                 # pair it with a wrong salt.
                 if block.records[pos].issuer_id.id == member.id:
-                    self._tokens[commitment] = DhpToken(header_hash(block.header), pos, pending.salt)
+                    self._tokens[commitment] = (member.id, DhpToken(header_hash(block.header), pos, pending.salt))
             duplicate = commitment in self._mempool or commitment in self._tokens or located is not None
             if not duplicate:
                 if len(self._mempool) >= MAX_MEMPOOL:
@@ -573,14 +602,14 @@ class HsaNode(Node):
                 self._mempool[commitment] = pending
         return bytes((MSG_SUBMIT_ACK,)) + commitment + bytes((1 if duplicate else 0,))
 
-    def _handle_get_token(self, r: Reader) -> bytes:
+    def _handle_get_token(self, member: ActorId, r: Reader) -> bytes:
         commitment = r.finish(Reader.take, 32)
         with self._lock:
-            token = self._tokens.get(commitment)
-            pending = commitment in self._mempool
-        if token is not None:
-            return bytes((MSG_TOKEN, 1)) + token_bytes(token)
-        if pending:
+            minted = self._tokens.get(commitment)
+            pending = self._mempool.get(commitment)
+        if minted is not None and minted[0] == member.id:
+            return bytes((MSG_TOKEN, 1)) + token_bytes(minted[1])
+        if pending is not None and pending.record.issuer_id.id == member.id:
             return bytes((MSG_TOKEN, 0))
         return _error(ERR_NOT_FOUND, "unknown commitment")
 
@@ -613,7 +642,7 @@ class HsaNode(Node):
                 for pos, commitment in enumerate(block.commitments()):
                     pending = self._mempool.pop(commitment, None)
                     if pending is not None:
-                        self._tokens[commitment] = DhpToken(block_hash, pos, pending.salt)
+                        self._tokens[commitment] = (pending.record.issuer_id.id, DhpToken(block_hash, pos, pending.salt))
         return held
 
     def _announce(self) -> None:
@@ -640,21 +669,6 @@ class HsaNode(Node):
                         self._drop(peer)
                 lagging = [peer for peer in lagging if peer in was_open and peer not in self._links]
 
-    def _pull(self, peer: tuple[str, int]) -> None:
-        """Node._pull over the held link to peer, as _announce sends: a link
-        that fails is dropped, and one open before gets a second pass on a
-        new link. A stopped node opens none."""
-        with self._peer_lock:
-            if self._stop.is_set():
-                return
-            for held in (peer in self._links, False):
-                try:
-                    return self._pull_over(self._link(peer))
-                except (OSError, DhpError):
-                    self._drop(peer)
-                    if not held:
-                        raise
-
     def _send(self, peer: tuple[str, int], frame: bytes, height: int) -> bool:
         """Whether frame, the ANNOUNCE of block height, was sent to peer on
         its link. A link that fails is dropped."""
@@ -666,21 +680,12 @@ class HsaNode(Node):
             self._drop(peer)
             return False
 
-    def _link(self, peer: tuple[str, int]) -> NodeClient:
-        """The held link to peer, opened if there is none."""
-        if peer not in self._links:
-            self._links[peer] = NodeClient.connect(*peer, key=self.key, registry=self.registry)
-        return self._links[peer]
-
-    def _drop(self, peer: tuple[str, int]) -> None:
-        link = self._links.pop(peer, None)
-        if link is not None:
-            link.close()
-
 
 class BmNode(Node):
     """Read-only member node: replicates the chain and serves verification,
     appending a signed receipt to its local log for every check."""
+
+    ROUTES = {**Node.ROUTES, MSG_VERIFY: (Role.BM, "_handle_verify")}
 
     def __init__(self, config: NodeConfig):
         super().__init__(config)
@@ -692,14 +697,7 @@ class BmNode(Node):
         super().stop()
         self._receipts.close()
 
-    def dispatch_role(self, member: ActorId, kind: int, r: Reader) -> bytes:
-        if kind == MSG_VERIFY:
-            if member.role is not Role.BM:
-                return _error(ERR_WRONG_ROLE, "only read-only members ask for signed receipts")
-            return self._handle_verify(r)
-        return super().dispatch_role(member, kind, r)
-
-    def _handle_verify(self, r: Reader) -> bytes:
+    def _handle_verify(self, member: ActorId, r: Reader) -> bytes:
         token, at, doc = read_token(r), r.u64(), read_doc(r)
         r.done()
         outcome, receipt = bm_verify(self.key, self._state, token, doc, self.policy, at)
@@ -742,8 +740,8 @@ class NodeClient:
         self._registry = registry
 
     @classmethod
-    def connect(cls, host: str, port: int, key: KeyPair, registry: Registry, timeout: float = 5.0) -> "NodeClient":
-        sock = socket.create_connection((host, port), timeout=timeout)
+    def connect(cls, host: str, port: int, key: KeyPair, registry: Registry) -> "NodeClient":
+        sock = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT)
         try:
             nonce = _body(_reply(recv_frame(sock)), MSG_CHALLENGE).finish(Reader.take, 32)
             signature = sign(key, AUTH_TAG + nonce)

@@ -31,7 +31,7 @@ from dhp.ledger import (
     scheduled_authority,
     token_bytes,
 )
-from dhp.protocol import OutcomeStatus, ViolationReason, receipt_frame_bytes, thf_issue
+from dhp.protocol import OutcomeStatus, ViolationReason, pending_bytes, receipt_frame_bytes, thf_issue
 from dhp.service import (
     ERR_MALFORMED,
     ERR_NOT_FOUND,
@@ -42,12 +42,18 @@ from dhp.service import (
     MAX_FRAME,
     MSG_ANNOUNCE,
     MSG_ANNOUNCE_ACK,
+    MSG_AUTH,
     MSG_AUTH_OK,
     MSG_BLOCK,
     MSG_CHALLENGE,
     MSG_ERROR,
+    MSG_GET_BLOCK,
     MSG_GET_BLOCK_AT,
+    MSG_GET_HEAD,
+    MSG_GET_TOKEN,
     MSG_OUTCOME,
+    MSG_SUBMIT,
+    MSG_TOKEN,
     MSG_VERIFY,
     NodeClient,
     NodeConfig,
@@ -328,6 +334,96 @@ def test_only_a_read_only_member_may_ask_a_member_for_a_signed_receipt(net):
     assert len(ReceiptLog(bm.config.data_dir / "receipts.log").read_all(c.registry)) == 1
 
 
+#: The one role that may send each request (None: any member), and the node
+#: types that serve it. AUTH is answered before dispatch, and 0x7e is no
+#: message, so no node serves either.
+SENDERS = {
+    MSG_SUBMIT: (Role.THF, {Role.HSA}),
+    MSG_GET_TOKEN: (Role.THF, {Role.HSA}),
+    MSG_GET_BLOCK: (None, {Role.HSA, Role.BM}),
+    MSG_GET_HEAD: (None, {Role.HSA, Role.BM}),
+    MSG_GET_BLOCK_AT: (None, {Role.HSA, Role.BM}),
+    MSG_VERIFY: (Role.BM, {Role.BM}),
+    MSG_ANNOUNCE: (Role.HSA, {Role.HSA, Role.BM}),
+    MSG_AUTH: (None, set()),
+    0x7E: (None, set()),
+}
+
+
+@pytest.fixture(scope="module")
+def unstarted(tmp_path_factory):
+    """An authority and a member of one registry, built but not started:
+    requests reach them through dispatch alone."""
+    tmp_path = tmp_path_factory.mktemp("roles")
+    c = Consortium(num_hsa=1, num_thf=1, num_bm=1, genesis_time=0)
+    save_registry(tmp_path / "registry.txt", c.registry)
+    (tmp_path / "policy.txt").write_text(POLICY_TEXT)
+    nodes = {}
+    for node_type, key in ((HsaNode, c.hsa_keys[0]), (BmNode, c.bm_keys[0])):
+        role = key.owner.role
+        save_keypair(tmp_path / f"{role.name}.key", key)
+        nodes[role] = node_type(NodeConfig(
+            role=role,
+            listen=("127.0.0.1", 0),
+            data_dir=tmp_path / role.name,
+            registry_file=tmp_path / "registry.txt",
+            key_file=tmp_path / f"{role.name}.key",
+            policy_file=tmp_path / "policy.txt",
+        ))
+    yield c, nodes
+    for node in nodes.values():
+        node.stop()
+
+
+@pytest.mark.parametrize("sender", [Role.THF, Role.HSA, Role.BM], ids=lambda role: role.name)
+@pytest.mark.parametrize("kind", list(SENDERS), ids=lambda kind: f"{kind:#04x}")
+@pytest.mark.parametrize("node_role", [Role.HSA, Role.BM], ids=lambda role: f"at-{role.name}")
+def test_each_request_is_taken_up_only_from_the_role_that_may_send_it(unstarted, node_role, kind, sender):
+    """A request the node does not serve is malformed, one from a role other
+    than the one that may send it is the wrong role, and any other is taken
+    up: here its empty body is refused as truncated, or a HEAD is sent."""
+    c, nodes = unstarted
+    key = {Role.THF: c.thf_keys[0], Role.HSA: c.hsa_keys[0], Role.BM: c.bm_keys[0]}[sender]
+    reply = nodes[node_role].dispatch(key.owner, bytes((kind,)))
+    allowed, served_at = SENDERS[kind]
+    if node_role not in served_at:
+        assert reply == dhp.service._error(ERR_MALFORMED, f"unsupported message {kind:#04x}")
+    elif allowed not in (None, sender):
+        assert _error_code(reply) == ERR_WRONG_ROLE
+    elif kind == MSG_GET_HEAD:
+        assert reply[0] == dhp.service.MSG_HEAD
+    else:
+        assert reply == dhp.service._error(ERR_MALFORMED, "frame truncated")
+
+
+def test_only_the_issuing_facility_gets_a_credential_s_token(tmp_path):
+    """A token carries its credential's salt. Another facility gets the
+    reply a commitment never submitted gets, for a credential pending or on
+    the chain alike; an authority or a member is the wrong role."""
+    c, (hsa,) = parked_authorities(tmp_path, 1, num_thf=2, num_bm=1)
+    try:
+        issuer, other = (key.owner for key in c.thf_keys)
+        on_chain, pending = issue(c, 310), issue(c, 311)
+
+        def get_token(member, commitment):
+            return hsa.dispatch(member, bytes((MSG_GET_TOKEN,)) + commitment)
+
+        hsa.dispatch(issuer, bytes((MSG_SUBMIT,)) + pending_bytes(on_chain))
+        block = hsa.propose_once()
+        hsa.dispatch(issuer, bytes((MSG_SUBMIT,)) + pending_bytes(pending))
+        token = DhpToken(header_hash(block.header), 0, on_chain.salt)
+        assert get_token(issuer, on_chain.record.commitment) == bytes((MSG_TOKEN, 1)) + token_bytes(token)
+        assert get_token(issuer, pending.record.commitment) == bytes((MSG_TOKEN, 0))
+        unknown = get_token(other, b"\x31" * 32)
+        assert _error_code(unknown) == ERR_NOT_FOUND
+        for credential in (on_chain, pending):
+            assert get_token(other, credential.record.commitment) == unknown
+            for member in (c.hsa_keys[0].owner, c.bm_keys[0].owner):
+                assert _error_code(get_token(member, credential.record.commitment)) == ERR_WRONG_ROLE
+    finally:
+        hsa.stop()
+
+
 def test_get_block_serves_the_frame_the_node_logged(solo, monkeypatch):
     """Blocks asked for by height or by hash, one of them twice, are sent as
     the frames the authority logged, with no block encoded again."""
@@ -532,11 +628,11 @@ def test_two_authorities_alternate_over_sockets(tmp_path):
             node.stop()
 
 
-def parked_authorities(tmp_path, num_hsa, block_interval=3600, num_bm=0):
+def parked_authorities(tmp_path, num_hsa, block_interval=3600, num_bm=0, num_thf=1):
     """Every authority of a registry, started and each the others' peer.
     With the default interval their timers never cut a block: blocks are
     made by calling propose_once()."""
-    c = Consortium(num_hsa=num_hsa, num_thf=1, num_bm=num_bm, genesis_time=0)
+    c = Consortium(num_hsa=num_hsa, num_thf=num_thf, num_bm=num_bm, genesis_time=0)
     save_registry(tmp_path / "registry.txt", c.registry)
     nodes = []
     for i, key in enumerate(c.hsa_keys):
@@ -671,18 +767,24 @@ def submit(node, c, i):
         client.submit_dhp(issue(c, i))
 
 
-def test_an_authority_connects_to_each_peer_once(linked, monkeypatch):
-    """Five blocks to two peers open two links, one per peer, and every
-    block is held by both when propose_once returns."""
-    c, hsa, members = linked
+def counting_connects(monkeypatch):
+    """The address of every NodeClient.connect from here on."""
     opened, connect_ = [], NodeClient.connect.__func__
 
     def counting(cls, host, port, **kwargs):
         opened.append((host, port))
         return connect_(cls, host, port, **kwargs)
 
+    monkeypatch.setattr(NodeClient, "connect", classmethod(counting))
+    return opened
+
+
+def test_an_authority_connects_to_each_peer_once(linked, monkeypatch):
+    """Five blocks to two peers open two links, one per peer, and every
+    block is held by both when propose_once returns."""
+    c, hsa, members = linked
     with connect(hsa, c.thf_keys[0], c.registry) as client:
-        monkeypatch.setattr(NodeClient, "connect", classmethod(counting))
+        opened = counting_connects(monkeypatch)
         for i in range(5):
             client.submit_dhp(issue(c, 100 + i))
             block = hsa.propose_once()
@@ -700,13 +802,7 @@ def test_an_authority_pulls_and_announces_its_first_block_over_one_link(tmp_path
     save_registry(tmp_path / "registry.txt", c.registry)
     save_keypair(tmp_path / "hsa0.key", c.hsa_keys[0])
     member = start_member(tmp_path, c, 0)
-    address, opened, connect_ = member.address, [], NodeClient.connect.__func__
-
-    def counting(cls, host, port, **kwargs):
-        opened.append((host, port))
-        return connect_(cls, host, port, **kwargs)
-
-    monkeypatch.setattr(NodeClient, "connect", classmethod(counting))
+    address, opened = member.address, counting_connects(monkeypatch)
     hsa = HsaNode(NodeConfig(
         role=Role.HSA,
         listen=("127.0.0.1", 0),
@@ -726,6 +822,40 @@ def test_an_authority_pulls_and_announces_its_first_block_over_one_link(tmp_path
         hsa.stop()
         member.stop()
     assert opened.count(address) == 1
+
+
+def test_a_member_pulls_over_one_held_link(linked, monkeypatch):
+    """Twice the authority makes a block it sends to no one, then announces
+    the next: the member refuses each announce, as above its tip, and pulls
+    both blocks at its next tick, both times over the one link it holds."""
+    c, hsa, (member, _) = linked
+    member.config.peers = [hsa.address]
+    opened = counting_connects(monkeypatch)
+
+    def propose(i, peers):
+        hsa.config.peers = peers
+        hsa.dispatch(c.thf_keys[0].owner, bytes((MSG_SUBMIT,)) + pending_bytes(issue(c, i)))
+        hsa.propose_once()
+
+    for i in (160, 162):
+        propose(i, [])
+        propose(i + 1, [member.address])
+        assert hsa._acked == set()
+        assert wait_until(lambda: member.state.tip == hsa.state.tip)
+    assert opened.count(hsa.address) == 1
+
+
+def test_a_stopped_member_holds_no_links(linked):
+    """Stopping a member closes the link its pull opened, and a pull after
+    the stop opens none."""
+    c, hsa, (member, _) = linked
+    member.config.peers = [hsa.address]
+    member.sync_from_peers()
+    assert list(member._links) == [hsa.address]
+    member.stop()
+    assert member._links == {}
+    member.sync_from_peers()
+    assert member._links == {}
 
 
 def logged_frames(node):
@@ -775,18 +905,29 @@ def test_a_block_is_encoded_once_where_it_is_made_and_never_where_it_arrives(tmp
             member.stop()
 
 
-def test_a_link_the_peer_closed_when_idle_is_replaced_in_the_same_announce(linked, monkeypatch):
+@pytest.mark.parametrize("holder", ["authority", "member"])
+def test_a_link_the_peer_closed_when_idle_is_replaced_in_the_same_announce(linked, monkeypatch, holder):
+    """The authority's links to its members, or a member's link to the
+    authority, are closed by the peer for idling: the next announce, or the
+    next pull, goes over a new link with no pass lost."""
     c, hsa, members = linked
     monkeypatch.setattr("dhp.service.IDLE_TIMEOUT", 0.3)
+    if holder == "member":
+        node, hsa.config.peers, members = members[0], [], members[:1]
+        node.config.peers = [hsa.address]
+    else:
+        node = hsa
     submit(hsa, c, 110)
     hsa.propose_once()
-    stale = dict(hsa._links)
-    time.sleep(1.0)  # each member has closed its end of the link
+    node.sync_from_peers()
+    stale = dict(node._links)
+    time.sleep(1.0)  # each peer has closed its end of the link
     submit(hsa, c, 111)
     block = hsa.propose_once()
+    node.sync_from_peers()
     assert hsa._acked == set(hsa.config.peers)
     assert all(m.state.tip == block for m in members)
-    assert all(hsa._links[peer] is not stale[peer] for peer in hsa.config.peers)
+    assert all(node._links[peer] is not stale[peer] for peer in node.config.peers)
 
 
 def test_a_restarted_peer_gets_the_next_block_in_the_same_announce(linked, tmp_path):
