@@ -465,7 +465,7 @@ def append_block(state: ChainState, block: Block, now: int, record_sigs: bool = 
         header_index = {h: n for h, n in header_index.items() if n < height}
     index.update(zip(block.commitments(), range(height << POS_BITS, (height + 1) << POS_BITS)))
     header_index[header_hash(block.header)] = height
-    return replace(state, blocks=state.blocks + (block,), index=index, header_index=header_index)
+    return ChainState(state.blocks + (block,), state.authority_set, state.issuer_registry, index, header_index)
 
 
 class LookupStatus(Enum):
@@ -485,19 +485,35 @@ def lookup_by_token(state: ChainState, token: DhpToken, doc: TravelDocument) -> 
     """Resolve a token to its single record and open the commitment.
 
     The record is returned only if commit(doc, token.salt) equals the stored
-    commitment, which is what makes credentials non-transferable.
+    commitment, which is what makes credentials non-transferable. A token
+    this chain does not locate is NOT_FOUND before the document is opened.
     """
+    found = locate_token(state, token)
+    if found.status is LookupStatus.NOT_FOUND:
+        return found
+    return check_opening(found, commit(doc, token.salt))
+
+
+def locate_token(state: ChainState, token: DhpToken) -> LookupResult:
+    """The record a token names on this state's chain, its commitment not yet
+    opened: FOUND with the record and its location, or NOT_FOUND."""
     height = state.height_of(token.header_hash)
     if height is None:
         return LookupResult(LookupStatus.NOT_FOUND)
     block = state.blocks[height]
     if not 0 <= token.record_index < len(block.records):
         return LookupResult(LookupStatus.NOT_FOUND)
-    record = block.records[token.record_index]
-    location = (height, token.record_index)
-    if commit(doc, token.salt) != record.commitment:
-        return LookupResult(LookupStatus.COMMITMENT_MISMATCH, location=location)
-    return LookupResult(LookupStatus.FOUND, record=record, location=location)
+    return LookupResult(LookupStatus.FOUND, record=block.records[token.record_index],
+                        location=(height, token.record_index))
+
+
+def check_opening(found: LookupResult, opening: bytes) -> LookupResult:
+    """A located record (locate_token) once its commitment is opened: found
+    itself if opening, commit(doc, token.salt), equals the record's
+    commitment; COMMITMENT_MISMATCH at its location otherwise."""
+    if opening != found.record.commitment:
+        return LookupResult(LookupStatus.COMMITMENT_MISMATCH, location=found.location)
+    return found
 
 
 # --- canonical wire frames -------------------------------------------------

@@ -29,19 +29,22 @@ from enum import Enum
 from random import Random
 
 from .core import DhpError, EncodingError, HygienePolicy, Registry, Role, TestMethod, TravelDocument, parse_key_values
-from .crypto import keygen
+from .crypto import commit, keygen
 from .ledger import (
     MAX_BLOCK_RECORDS,
     Block,
     ChainState,
     DhpToken,
+    LookupStatus,
     append_block,
     chain_bytes,
+    check_opening,
     header_hash,
+    locate_token,
     scheduled_authority,
 )
 # bm_verify is not called here, but the benchmark's tracer wraps dhp.netsim.bm_verify by name.
-from .protocol import PendingDhp, bm_verify, check_credential, hsa_register, thf_issue  # noqa: F401
+from .protocol import PendingDhp, bm_verify, credential_outcome, hsa_register, thf_issue  # noqa: F401
 
 ROUND_SECONDS = 60
 SIM_BASE_TIME = 1_600_000_000
@@ -224,7 +227,7 @@ def run_simulation(config: SimConfig) -> SimReport:
     block_dhps: dict[int, tuple[int, ...]] = {}      # height -> dhp ids
     issued: list[tuple[DhpToken | None, TravelDocument, int]] = []
     delays: dict[tuple[int, str], int] = {}
-    queue: list[tuple[int, int, str, Block]] = []     # (deliver_round, seq, dest, block)
+    queue: list[tuple[int, int, str, Block, bytes]] = []  # (deliver_round, seq, dest, block, header hash)
     next_dhp = 0
     next_seq = 0
 
@@ -271,17 +274,15 @@ def run_simulation(config: SimConfig) -> SimReport:
             else:
                 d = 0
             deliver = _heal_round(dest, r + d, config.delay_model) if not delays_off else r + d
-            queue.append((deliver, next_seq, dest, block))
+            queue.append((deliver, next_seq, dest, block, block_hash))
             next_seq += 1
 
     def deliver_due(r: int) -> None:
         due = sorted((m for m in queue if m[0] <= r), key=lambda m: (m[0], m[1]))
         queue[:] = [m for m in queue if m[0] > r]
-        for _, _, dest, block in due:
+        for _, _, dest, block, block_hash in due:
             note_appearance(dest, replicas[dest].receive(block, round_time(r)), r)
-            events.append(
-                SimEvent(r, EventKind.DELIVER, (block.header.height, header_hash(block.header).hex(), dest))
-            )
+            events.append(SimEvent(r, EventKind.DELIVER, (block.header.height, block_hash.hex(), dest)))
 
     for r in range(1, config.rounds + 1):
         for i in range(config.num_hsa):
@@ -297,7 +298,8 @@ def run_simulation(config: SimConfig) -> SimReport:
 
     # Quiescence: partitions healed, zero delay, merged mempool drain.
     qr = config.rounds
-    queue[:] = [(min(dr, config.rounds + 1), seq, dest, block) for dr, seq, dest, block in queue]
+    queue[:] = [(min(dr, config.rounds + 1), seq, dest, block, block_hash)
+                for dr, seq, dest, block, block_hash in queue]
     while True:
         qr += 1
         merged = [entry for pool in mempools for entry in pool]
@@ -375,8 +377,13 @@ def check_consistency(
     """True iff all nodes hold byte-identical chains and every issued token
     verifies to the same outcome on every node.
 
-    Every node runs the receipt-free member checks; the first node's outcome
-    is the reference.
+    Every node runs the receipt-free member checks of check_credential on
+    its own replica: it locates the record by token, compares its
+    commitment with the opening, and checks the issuer, its signature and
+    the policy (credential_outcome). The opening, commit(doc, token.salt),
+    depends on neither, so each token's is made once, at the first node
+    that locates the token; a token no node locates is never opened, as in
+    lookup_by_token. The first node's outcome is the reference.
     """
     if not states:
         return True
@@ -384,9 +391,18 @@ def check_consistency(
     if any(chain_bytes(s) != reference for s in states[1:]):
         return False
     for token, doc in issued:
-        outcome = check_credential(states[0], token, doc, policy, at)
-        if any(check_credential(s, token, doc, policy, at) != outcome for s in states[1:]):
-            return False
+        opening = outcome = None
+        for state in states:
+            found = locate_token(state, token)
+            if found.status is LookupStatus.FOUND:
+                if opening is None:
+                    opening = commit(doc, token.salt)
+                found = check_opening(found, opening)
+            node_outcome = credential_outcome(state, found, policy, at)
+            if outcome is None:
+                outcome = node_outcome
+            elif node_outcome != outcome:
+                return False
     return True
 
 

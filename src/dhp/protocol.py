@@ -37,6 +37,7 @@ from .ledger import (
     BlockError,
     ChainState,
     DhpToken,
+    LookupResult,
     LookupStatus,
     append_block,
     check_issuer,
@@ -224,13 +225,24 @@ def check_credential(
 ) -> VerificationOutcome:
     """Run the verification pipeline for one presented (token, document) pair.
 
-    Locate by token, check the issuer is registered, check the issuer
-    signature, check the policy; the status is the first failure. Signs
-    nothing: bm_verify adds the member's receipt.
+    Locate by token and open the commitment (lookup_by_token), then the
+    steps of credential_outcome. Signs nothing: bm_verify adds the member's
+    receipt.
     """
+    return credential_outcome(state, lookup_by_token(state, token, doc), policy, at)
+
+
+def credential_outcome(
+    state: ChainState,
+    found: LookupResult,
+    policy: HygienePolicy,
+    at: int,
+) -> VerificationOutcome:
+    """The outcome of a check whose lookup gave found: check the issuer is
+    registered, check the issuer signature, check the policy; the status is
+    the first failure, the lookup's own included."""
     status = OutcomeStatus.VALID
     violation: ViolationReason | None = None
-    found = lookup_by_token(state, token, doc)
     if found.status is LookupStatus.NOT_FOUND:
         status = OutcomeStatus.NOT_FOUND
     elif found.status is LookupStatus.COMMITMENT_MISMATCH:

@@ -25,14 +25,18 @@ Readers ignore a torn frame.
 Registry file: one member per line, `ROLE hex_id hex_pubkey`; a key that is
 not 32 bytes or has small order, a repeated (role, id), or an id that is not
 the key's actor id, is refused.
-Key file: a single `ROLE hex_id hex_seed` line, readable by its owner only;
-public key and id re-derive from the seed on load, so tampering is detected.
+Key file: a single `ROLE hex_id hex_seed` line, readable by its owner only
+(a key file that group or others may access is refused on load); public key
+and id re-derive from the seed on load, so tampering is detected.
+Registry copy and genesis time in a data dir: each is replaced whole and
+durably (replace_durably), and left alone when its content is unchanged.
 """
 
 from __future__ import annotations
 
 import errno
 import os
+import stat
 import struct
 import threading
 from pathlib import Path
@@ -269,7 +273,31 @@ def read_genesis_time(data_dir: Path | str) -> int:
 
 
 def write_genesis_time(data_dir: Path | str, genesis_time: int) -> None:
-    (Path(data_dir) / "genesis.txt").write_text(f"{genesis_time}\n")
+    replace_durably(Path(data_dir) / "genesis.txt", f"{genesis_time}\n".encode())
+
+
+def replace_durably(path: Path, data: bytes) -> None:
+    """Make the file at path hold data, so that a crash leaves the old
+    content or the new, never a torn or empty file. A file that already
+    holds data is left alone. Otherwise data goes to a temp file beside it,
+    which is fsynced and renamed over path, and then the directory is
+    fsynced, so the rename itself survives a crash."""
+    try:
+        if path.read_bytes() == data:
+            return
+    except FileNotFoundError:
+        pass
+    temp = path.with_name(path.name + ".tmp")
+    with open(temp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(temp, path)
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 # --- registry and key files --------------------------------------------------
@@ -317,9 +345,7 @@ def load_registry(path: Path | str) -> Registry:
 
 def save_registry(path: Path | str, registry: Registry) -> None:
     """Replace the file whole: a crash leaves the old registry or the new."""
-    temp = Path(f"{path}.tmp")
-    temp.write_text(format_registry(registry))
-    os.replace(temp, path)
+    replace_durably(Path(path), format_registry(registry).encode())
 
 
 def save_keypair(path: Path | str, key: KeyPair) -> None:
@@ -332,7 +358,16 @@ def save_keypair(path: Path | str, key: KeyPair) -> None:
 
 
 def load_keypair(path: Path | str) -> KeyPair:
-    line = Path(path).read_text().strip()
+    """The key pair in the key file at path, which only its owner may read
+    or write: a mode that lets group or others in is refused, as OpenSSH
+    refuses such a private key."""
+    with open(path) as fh:
+        mode = stat.S_IMODE(os.fstat(fh.fileno()).st_mode)
+        if mode & 0o077:
+            raise EncodingError(
+                f"key file {path} has mode {mode:04o}, open to group or others: run `chmod 600 {path}`"
+            )
+        line = fh.read().strip()
     parts = line.split()
     if len(parts) != 3:
         raise EncodingError("key file must be a single `role hex_id hex_seed` line")

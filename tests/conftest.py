@@ -1,4 +1,5 @@
 import hashlib
+import sys
 from datetime import date
 
 import pytest
@@ -34,6 +35,21 @@ class Consortium:
 @pytest.fixture
 def consortium():
     return Consortium()
+
+
+def counted(monkeypatch, name):
+    """The calls of the function bound as name, counted at every dhp module
+    that binds it, as the benchmark's tracer wraps it."""
+    calls = []
+    for key, module in list(sys.modules.items()):
+        original = getattr(module, name, None) if key == "dhp" or key.startswith("dhp.") else None
+        if callable(original):
+            def counting(*args, _original=original, **kwargs):
+                calls.append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 _acceptance_results: list[tuple[object, str, str]] = []

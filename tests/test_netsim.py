@@ -1,11 +1,15 @@
 import hashlib
 import re
 from dataclasses import replace
+from datetime import date
 from math import inf
 
 import pytest
 
-from dhp.ledger import chain_bytes
+import dhp.netsim as netsim
+from dhp.core import InvalidDocument, TravelDocument, canonical_doc_bytes
+from dhp.crypto import Salt
+from dhp.ledger import DhpToken, chain_bytes
 from dhp.netsim import (
     EventKind,
     InvalidConfig,
@@ -20,6 +24,9 @@ from dhp.netsim import (
     parse_sim_config,
     run_simulation,
 )
+from dhp.protocol import OutcomeStatus, check_credential, hsa_register
+
+from conftest import counted, make_doc
 
 
 def replay_delays(report):
@@ -218,6 +225,61 @@ def test_check_consistency_detects_divergence(consortium):
     assert chain_bytes(blind) == chain_bytes(state)
     assert check_consistency([state, state, state], **verify)
     assert not check_consistency([state, state, blind], **verify)
+
+
+def test_check_consistency_opens_each_located_credential_once(monkeypatch):
+    """The opening depends only on the token and the document, so it is
+    made once per credential, not once per node: 300 for the sim workload's
+    300 credentials on 6 nodes."""
+    config = PINNED_REPORTS[0][0]
+    opened, calls = counted(monkeypatch, "commit"), []
+    check = netsim.check_consistency
+
+    def counting(*args, **kwargs):
+        before = len(opened)
+        result = check(*args, **kwargs)
+        calls.append(len(opened) - before)
+        return result
+
+    monkeypatch.setattr(netsim, "check_consistency", counting)
+    report = run_simulation(config)
+    assert report.consistent and report.submitted == 300
+    assert calls == [300]
+
+
+def test_check_consistency_locates_and_compares_on_every_node(consortium):
+    """Byte-equal chains, but one replica's header index sends a token's
+    block hash to another height: its record there has another commitment,
+    which only a per-node comparison with the opening catches."""
+    from test_protocol import HOUR, POLICY, T0, issue_and_register, issue_for
+
+    docs = [make_doc(i) for i in range(6)]
+    state, tokens, _ = issue_and_register(consortium, docs[:3])
+    pendings = [issue_for(consortium, doc, i) for i, doc in enumerate(docs[3:], start=3)]
+    state, more = hsa_register(consortium.hsa_keys[0], state, pendings, T0 + 180)
+    swapped = {h: {1: 2, 2: 1}.get(n, n) for h, n in state.header_index.items()}
+    misdirected = replace(state, header_index=swapped)
+    assert chain_bytes(misdirected) == chain_bytes(state)
+    verify = dict(issued=list(zip(tokens + more, docs)), policy=POLICY, at=T0 + HOUR)
+    assert check_consistency([state, state], **verify)
+    outcome = check_credential(misdirected, tokens[0], docs[0], POLICY, T0 + HOUR)
+    assert (outcome.status, outcome.dhp_location) == (OutcomeStatus.COMMITMENT_MISMATCH, (2, tokens[0].record_index))
+    assert not check_consistency([state, state, misdirected], **verify)
+    assert not check_consistency([misdirected, state], **verify)
+
+
+def test_check_consistency_never_opens_a_token_no_node_locates(consortium):
+    """A document without a canonical encoding cannot be opened, yet a
+    token that no node locates is an outcome before any opening."""
+    from test_protocol import HOUR, POLICY, T0, issue_and_register
+
+    state, _, _ = issue_and_register(consortium, [make_doc(1)])
+    ghost = DhpToken(b"\x07" * 32, 0, Salt(b"\x01" * 16))
+    bad_doc = TravelDocument("no", "??", date(2033, 6, 1))
+    with pytest.raises(InvalidDocument):
+        canonical_doc_bytes(bad_doc)
+    assert check_credential(state, ghost, bad_doc, POLICY, T0 + HOUR).status is OutcomeStatus.NOT_FOUND
+    assert check_consistency([state, state, state], [(ghost, bad_doc)], POLICY, T0 + HOUR)
 
 
 # sha256 of format_report(report) + repr(report.events) for three seeded

@@ -78,7 +78,7 @@ from dhp.storage import (
     save_registry,
 )
 
-from conftest import Consortium, make_doc, seeded_key
+from conftest import Consortium, counted, make_doc, seeded_key
 from test_protocol import POLICY_TEXT
 
 
@@ -283,21 +283,6 @@ def test_a_verify_encodes_its_receipt_once(net, monkeypatch):
 
 def token_height(hsa, token):
     return hsa.state.header_index[token.header_hash]
-
-
-def counted(monkeypatch, name):
-    """The calls of the function bound as name, counted at every dhp module
-    that binds it, as the benchmark's tracer wraps it."""
-    calls = []
-    for key, module in list(sys.modules.items()):
-        original = getattr(module, name, None) if key == "dhp" or key.startswith("dhp.") else None
-        if callable(original):
-            def counting(*args, _original=original, **kwargs):
-                calls.append(args)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counting)
-    return calls
 
 
 def test_a_verify_makes_one_receipt_and_one_preimage(net, monkeypatch):
@@ -1559,6 +1544,19 @@ def test_a_facility_removed_after_its_credentials_reached_the_chain_is_named(tmp
     save_registry(config.registry_file, c.registry)
     with pytest.raises(RegistryMismatch, match=f"differs from the data dir's: removed {joined.owner.label()}$"):
         HsaNode(config)
+
+
+def test_a_restart_with_the_same_inputs_rewrites_no_data_dir_file(tmp_path, monkeypatch):
+    """The registry copy and genesis.txt are replaced only when their
+    content changes, so a plain restart renames nothing."""
+    c = Consortium(num_hsa=1, num_thf=2, genesis_time=0)
+    config = three_block_authority(tmp_path, c)
+    files = {name: (config.data_dir / name).read_bytes() for name in ("registry.txt", "genesis.txt")}
+    replaced, real_replace = [], os.replace
+    monkeypatch.setattr(os, "replace", lambda *args: (replaced.append(args), real_replace(*args)))
+    HsaNode(config).stop()
+    assert replaced == []
+    assert {name: (config.data_dir / name).read_bytes() for name in files} == files
 
 
 def test_a_registry_that_only_adds_members_still_starts(tmp_path):

@@ -1,5 +1,6 @@
 import builtins
 import os
+import re
 import resource
 import signal
 import stat
@@ -342,6 +343,43 @@ def test_genesis_time_outside_u64_is_refused(tmp_path, text):
         read_genesis_time(tmp_path)
 
 
+@pytest.mark.parametrize("name", ["genesis.txt", "registry.txt"])
+def test_a_data_dir_file_is_replaced_durably_and_only_when_it_changes(tmp_path, monkeypatch, consortium, name):
+    """The new content is written to a temp file and fsynced, renamed over
+    the file, and the directory fsynced; unchanged content writes nothing."""
+    path = tmp_path / name
+    write = {
+        "genesis.txt": lambda version: write_genesis_time(tmp_path, 1_700_000_000 + version),
+        "registry.txt": lambda version: save_registry(
+            path, consortium.registry.with_member(seeded_key(Role.BM, "joined").owner) if version else consortium.registry
+        ),
+    }[name]
+    calls, real_fsync, real_replace = [], os.fsync, os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        calls.append(("fsync", st.st_ino, "dir" if stat.S_ISDIR(st.st_mode) else st.st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", str(src), str(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    for version in (0, 0, 1):
+        before = len(calls)
+        write(version)
+        content = path.read_bytes()
+        made = [] if version == 0 and before else [
+            ("fsync", path.stat().st_ino, len(content)),
+            ("replace", f"{path}.tmp", str(path)),
+            ("fsync", tmp_path.stat().st_ino, "dir"),
+        ]
+        assert calls[before:] == made, version
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
 def test_registry_text_round_trip(consortium):
     text = format_registry(consortium.registry)
     assert parse_registry(text) == consortium.registry
@@ -411,6 +449,26 @@ def test_a_key_file_is_readable_by_its_owner_only(tmp_path):
     for path in (fresh, existing):
         assert stat.S_IMODE(path.stat().st_mode) == 0o600
         assert load_keypair(path) == key
+
+
+@pytest.mark.parametrize("mode", [0o644, 0o640, 0o600], ids=lambda mode: f"{mode:04o}")
+def test_a_key_file_open_to_group_or_others_is_refused(tmp_path, mode):
+    """Only mode 0600 loads, whatever the umask the file was written under."""
+    key = seeded_key(Role.HSA, "persisted")
+    path = tmp_path / "hsa.key"
+    for mask in (0o000, 0o022, 0o077):
+        umask = os.umask(mask)
+        try:
+            path.unlink(missing_ok=True)
+            save_keypair(path, key)
+            path.chmod(mode)
+        finally:
+            os.umask(umask)
+        if mode == 0o600:
+            assert load_keypair(path) == key
+        else:
+            with pytest.raises(EncodingError, match=re.escape(f"{path} has mode 0{mode:o}") + ".*chmod 600"):
+                load_keypair(path)
 
 
 def test_keypair_file_tamper_detected(tmp_path):

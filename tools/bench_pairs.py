@@ -9,9 +9,11 @@ alternating pairs (pair i uses seed i; the side that runs first swaps every
 pair), and one traced run per side. Writes one JSON file: per workload and
 end-to-end metric of BENCHMARK.json, the parent and change medians and
 quartiles, every run's value and how many pairs the change won; the traced
-per-layer figures; the line count of src/**/*.py on each side, in total
-(src_lines) and per file (src_lines_by_file); and the
-commits, host, Python and `cryptography` versions. Nothing under perfbench/ is changed; exits 1 if any run was
+per-layer figures; each run that was incorrect or did not finish (errors:
+its side, pair, seed, exit code, stderr tail and INCORRECT: lines); the line
+count of src/**/*.py on each side, in total (src_lines) and per file
+(src_lines_by_file); and the commits, host, Python and `cryptography`
+versions. Nothing under perfbench/ is changed; exits 1 if any run was
 incorrect or did not finish.
 """
 
@@ -54,8 +56,15 @@ def source_lines_by_file(checkout: Path) -> dict[str, int]:
     }
 
 
+#: Characters of a failed run's stderr kept in its error record.
+STDERR_TAIL = 2000
+
+
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run; its result line, or {"correct": False} with the error."""
+    """One perfbench run: its result line, or {"correct": False} when it
+    printed none. A run that was not correct or did not finish also gets an
+    "error": its seed, exit code, the tail of its stderr and its
+    INCORRECT: lines."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
@@ -63,9 +72,17 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
     )
     lines = proc.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])
+        result = json.loads(lines[-1])
     except (IndexError, ValueError):
-        return {"correct": False, "error": proc.stderr.strip()[-500:]}
+        result = {"correct": False}
+    if result.get("correct") is not True or proc.returncode != 0:
+        result["error"] = {
+            "seed": seed,
+            "exit": proc.returncode,
+            "stderr": proc.stderr.strip()[-STDERR_TAIL:],
+            "incorrect": [line for line in lines if line.startswith("INCORRECT:")],
+        }
+    return result
 
 
 def summary(values: list[float]) -> dict:
@@ -74,20 +91,27 @@ def summary(values: list[float]) -> dict:
 
 
 def bench_workload(sides: dict[str, Path], workload: str, args, metrics: list[dict]) -> dict:
+    """The paired runs of one workload, then a traced run per side. "errors"
+    lists every run that was not correct or did not finish, with its side
+    and pair ("traced" for a traced run); it is empty when none failed."""
     runs: dict[str, list[dict]] = {side: [] for side in sides}
+    errors: list[dict] = []
     for pair in range(args.pairs):
         order = list(sides) if pair % 2 == 0 else list(reversed(sides))
         for side in order:
-            runs[side].append(run(sides[side], workload, pair + 1, args.seconds, 0))
+            result = run(sides[side], workload, pair + 1, args.seconds, 0)
+            runs[side].append(result)
+            if "error" in result:
+                errors.append({"side": side, "pair": pair + 1, **result["error"]})
         print(f"{workload}: pair {pair + 1} of {args.pairs} done", file=sys.stderr, flush=True)
     out: dict = {
         "correct": {side: all(r.get("correct") is True for r in runs[side]) for side in sides},
         "attempted": {side: sum(r.get("attempted", 0) for r in runs[side]) for side in sides},
         "failed": {side: sum(r.get("failed", 0) for r in runs[side]) for side in sides},
+        "errors": errors,
         "metrics": {},
     }
     if not all(out["correct"].values()):
-        out["errors"] = [r.get("error") for side in sides for r in runs[side] if r.get("error")]
         return out
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -100,6 +124,7 @@ def bench_workload(sides: dict[str, Path], workload: str, args, metrics: list[di
             "change_better_pairs": wins,
         }
     traced = {side: run(sides[side], workload, 1, args.seconds, 1) for side in sides}
+    errors.extend({"side": side, "pair": "traced", **traced[side]["error"]} for side in sides if "error" in traced[side])
     out["per_layer"] = {
         side: {name: m["value"] for name, m in traced[side].get("metrics", {}).items()} for side in sides
     }
