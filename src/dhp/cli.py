@@ -30,12 +30,12 @@ from .protocol import (
 from .service import ERR_NOT_FOUND, NodeClient, ServiceError, build_node, parse_hostport, parse_node_config
 from .storage import (
     CorruptLog,
-    ReceiptLog,
     load_keypair,
     load_registry,
+    open_receipts,
     parse_manifest,
-    read_genesis_time,
-    replay_block_log,
+    read_receipts,
+    replay_data_dir,
     save_keypair,
     save_registry,
 )
@@ -143,16 +143,12 @@ def cmd_bm_run(args) -> int:
 def cmd_bm_verify(args) -> int:
     bm = load_keypair(args.key)
     data_dir = _data_dir(args)
-    registry = load_registry(args.registry or data_dir / "registry.txt")
     policy = parse_policy(Path(args.policy).read_text())
-    state, _ = replay_block_log(
-        data_dir / "blocks.log", registry, int(time.time()),
-        genesis_time=read_genesis_time(data_dir),
-    )
+    state = replay_data_dir(data_dir, args.registry, int(time.time()), strict=False)
     token = parse_token(bytes.fromhex(args.token))
     at = args.at if args.at is not None else int(time.time())
     outcome, receipt = bm_verify(bm, state, token, _parse_doc(args), policy, at)
-    with ReceiptLog(data_dir / "receipts.log") as log:
+    with open_receipts(data_dir) as log:
         log.append(receipt)
     receipt_id = hashlib.sha256(receipt.bm_signature).hexdigest()[:16]
     if outcome.status is OutcomeStatus.VALID:
@@ -179,12 +175,7 @@ def cmd_sim_run(args) -> int:
 
 
 def cmd_chain_audit(args) -> int:
-    data_dir = _data_dir(args)
-    registry = load_registry(args.registry or data_dir / "registry.txt")
-    state, _ = replay_block_log(
-        data_dir / "blocks.log", registry, int(time.time()), strict=True,
-        genesis_time=read_genesis_time(data_dir),
-    )
+    state = replay_data_dir(_data_dir(args), args.registry, int(time.time()), strict=True)
     print(f"chain audit ok: {len(state.blocks)} blocks, height {state.height}, "
           f"{len(state.index)} records, {len(state.index)} record signatures checked, "
           f"tip {header_hash(state.tip.header).hex()[:16]}")
@@ -193,8 +184,7 @@ def cmd_chain_audit(args) -> int:
 
 def cmd_audit_manifest(args) -> int:
     registry = load_registry(args.registry)
-    with ReceiptLog(args.receipts) as log:
-        receipts = log.read_all(registry)
+    receipts = read_receipts(args.receipts, registry)
     manifest = parse_manifest(Path(args.manifest).read_text())
     missing = audit_manifest(receipts, manifest, registry)
     if not missing:

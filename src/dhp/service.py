@@ -117,16 +117,7 @@ from .protocol import (
     read_pending,
     receipt_frame_bytes,
 )
-from .storage import (
-    BlockLog,
-    CorruptLog,
-    ReceiptLog,
-    load_keypair,
-    load_registry,
-    registry_mismatch,
-    save_registry,
-    write_genesis_time,
-)
+from .storage import load_keypair, load_registry, open_chain, open_receipts
 
 AUTH_TAG = b"DHPA1|"
 #: The longest valid message: the ANNOUNCE or BLOCK of the longest block.
@@ -367,20 +358,9 @@ class Node:
             raise EncodingError(
                 f"key role {self.key.owner.role.name} does not match node role {config.role.name}"
             )
-        config.data_dir.mkdir(parents=True, exist_ok=True)
-        local_registry = config.data_dir / "registry.txt"
-        write_genesis_time(config.data_dir, config.genesis_time)
         self._lock = threading.RLock()
-        self._log = BlockLog(config.data_dir / "blocks.log")
-        now, t0 = int(time.time()), time.perf_counter()
-        try:
-            self._state = self._log.recover(self.registry, now, config.genesis_time)
-        except CorruptLog as exc:
-            self._log.close()
-            built = load_registry(local_registry) if local_registry.exists() else self.registry
-            raise registry_mismatch(self._log.path, built, self.registry, now, config.genesis_time) or exc
-        # The registry the log now replays under, for the next start and for audits.
-        save_registry(local_registry, self.registry)
+        t0 = time.perf_counter()
+        self._log, self._state = open_chain(config.data_dir, self.registry, config.genesis_time, int(time.time()))
         logger.info(
             "recovered %d blocks, %d records in %.0f ms; record signatures are left to `dhp chain audit`",
             self._state.height, len(self._state.index), (time.perf_counter() - t0) * 1e3,
@@ -389,8 +369,8 @@ class Node:
         self._stop = threading.Event()
         self._behind = bool(config.peers)  # it may lack blocks its peers hold: the next tick pulls
         # The held-open link to each peer pulled from or announced to.
-        # _peer_lock guards it (and an authority's _acked): a caller's thread
-        # may propose while the tick thread pulls or re-announces.
+        # _peer_lock guards it (and an authority's _acked) between a proposing
+        # caller and the tick; stop() drops links without it, by atomic pops.
         self._links: dict[tuple[str, int], NodeClient] = {}
         self._peer_lock = threading.RLock()
 
@@ -405,16 +385,15 @@ class Node:
     def stop(self) -> None:
         """Stop serving and ticking, close the node's logs (a handler or tick
         still running gets OSError from any append, and writes nothing), then
-        close the peer links; none is opened after."""
+        close the peer links without waiting on a tick that is linking."""
         self._stop.set()
         if self._server is not None:
             self._server.shutdown()
             self._server.server_close()
             self._server = None
         self._log.close()
-        with self._peer_lock:
-            for peer in list(self._links):
-                self._drop(peer)
+        for peer in list(self._links):
+            self._drop(peer)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -490,10 +469,15 @@ class Node:
                         raise
 
     def _link(self, peer: tuple[str, int]) -> NodeClient:
-        """The held link to peer, opened if there is none."""
-        if peer not in self._links:
-            self._links[peer] = NodeClient.connect(*peer, key=self.key, registry=self.registry)
-        return self._links[peer]
+        """The held link to peer, opened if there is none. A link stored after
+        stop() began is dropped here, as stop() may have missed it."""
+        link = self._links.get(peer)
+        if link is None:
+            link = self._links[peer] = NodeClient.connect(*peer, key=self.key, registry=self.registry)
+            if self._stop.is_set():
+                self._drop(peer)
+                raise ConnectionAbortedError(f"the node stopped while linking to {peer[0]}:{peer[1]}")
+        return link
 
     def _drop(self, peer: tuple[str, int]) -> None:
         link = self._links.pop(peer, None)
@@ -659,26 +643,27 @@ class HsaNode(Node):
             frame = bytes((MSG_ANNOUNCE,)) + tip.frame
             was_open = set(self._links)
             for _ in range(2):
-                sent = [peer for peer in lagging if self._send(peer, frame, height)]
-                for peer in sent:
+                sent = [(peer, link) for peer in lagging if (link := self._send(peer, frame, height))]
+                for peer, link in sent:
                     try:
-                        if _read_ack(self._links[peer].receive()):
+                        if _read_ack(link.receive()):
                             self._acked.add(peer)
                     except (OSError, DhpError) as exc:
                         logger.warning("dropped the link to %s:%d reading its ack of block %d: %r", *peer, height, exc)
                         self._drop(peer)
                 lagging = [peer for peer in lagging if peer in was_open and peer not in self._links]
 
-    def _send(self, peer: tuple[str, int], frame: bytes, height: int) -> bool:
-        """Whether frame, the ANNOUNCE of block height, was sent to peer on
-        its link. A link that fails is dropped."""
+    def _send(self, peer: tuple[str, int], frame: bytes, height: int) -> NodeClient | None:
+        """The link to peer that frame, the ANNOUNCE of block height, was sent
+        on; None if it was not sent. A link that fails is dropped."""
         try:
-            self._link(peer).send(frame)
-            return True
+            link = self._link(peer)
+            link.send(frame)
+            return link
         except (OSError, DhpError) as exc:
             logger.warning("dropped the link to %s:%d sending block %d: %r", *peer, height, exc)
             self._drop(peer)
-            return False
+            return None
 
 
 class BmNode(Node):
@@ -691,7 +676,7 @@ class BmNode(Node):
         super().__init__(config)
         assert config.policy_file is not None
         self.policy: HygienePolicy = parse_policy(config.policy_file.read_text())
-        self._receipts = ReceiptLog(config.data_dir / "receipts.log")
+        self._receipts = open_receipts(config.data_dir)
 
     def stop(self) -> None:
         super().stop()

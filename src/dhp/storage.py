@@ -1,4 +1,10 @@
-"""Append-only persistence and consortium file formats.
+"""Append-only persistence, a node's data dir, and consortium file formats.
+
+A node's data dir holds blocks.log, registry.txt (the registry the log last
+replayed under), genesis.txt and a member's receipts.log, named here alone.
+open_chain writes the registry copy and genesis.txt only once the block log
+replays. replace_durably creates or replaces every file, _Log._append grows
+the logs, and readers (replay_data_dir, read_receipts) never write.
 
 Block log: magic "DHPB" + u8 version, then length-prefixed canonical block
 frames (u32-BE length + block bytes). Recovery of a node's own log replays
@@ -28,8 +34,6 @@ the key's actor id, is refused.
 Key file: a single `ROLE hex_id hex_seed` line, readable by its owner only
 (a key file that group or others may access is refused on load); public key
 and id re-derive from the seed on load, so tampering is detected.
-Registry copy and genesis time in a data dir: each is replaced whole and
-durably (replace_durably), and left alone when its content is unchanged.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ BLOCK_LOG_MAGIC = b"DHPB"
 RECEIPT_LOG_MAGIC = b"DHPR"
 LOG_VERSION = 1
 _HEADER_LEN = 5  # magic + version byte
+BLOCKS, RECEIPTS, REGISTRY_COPY, GENESIS = "blocks.log", "receipts.log", "registry.txt", "genesis.txt"
 
 
 class CorruptLog(DhpError):
@@ -68,18 +73,17 @@ class RegistryMismatch(DhpError):
     registry is blamed and not the disk."""
 
 
-def registry_mismatch(
-    path: Path | str, built: Registry, configured: Registry, now: int, genesis_time: int = 0
-) -> RegistryMismatch | None:
-    """The error for the block log at path, which does not replay under
+def registry_mismatch(data_dir: Path, configured: Registry, now: int, genesis_time: int) -> RegistryMismatch | None:
+    """The error for the data dir's block log, which does not replay under
     configured: a RegistryMismatch naming each member a replay reads (the
     authorities, in schedule order, and the issuers) that configured adds to
-    or removes from built. None if the registry is not the cause: the two
-    agree on those members, or the log does not replay under built either."""
+    or removes from the dir's copy; None if the copy agrees or fails too."""
+    copy = data_dir / REGISTRY_COPY
+    built = load_registry(copy) if copy.exists() else configured
     if built.authorities() == configured.authorities() and built.issuers() == configured.issuers():
         return None
     try:
-        replay_block_log(path, built, now, genesis_time=genesis_time)
+        replay_block_log(data_dir / BLOCKS, built, now, genesis_time=genesis_time)
     except CorruptLog:
         return None
     before, after = (set(r.authorities()) | set(r.issuers().values()) for r in (built, configured))
@@ -89,6 +93,32 @@ def registry_mismatch(
         "the block log does not replay under the configured registry, which differs from the data dir's: "
         + (", ".join(names) or "authorities reordered")
     )
+
+
+def open_chain(data_dir: Path, registry: Registry, genesis_time: int, now: int) -> tuple[BlockLog, ChainState]:
+    """data_dir's block log, open for appends, and the chain it recovers to;
+    or else the RegistryMismatch, or the CorruptLog, that refuses it."""
+    log = BlockLog(data_dir / BLOCKS)
+    try:
+        state = log.recover(registry, now, genesis_time)
+    except CorruptLog as exc:
+        log.close()
+        raise registry_mismatch(data_dir, registry, now, genesis_time) or exc
+    save_registry(data_dir / REGISTRY_COPY, registry)
+    write_genesis_time(data_dir, genesis_time)
+    return log, state
+
+
+def open_receipts(data_dir: Path) -> ReceiptLog:
+    """A member's receipt log, open for appends."""
+    return ReceiptLog(data_dir / RECEIPTS)
+
+
+def replay_data_dir(data_dir: Path, registry_file: Path | str | None, now: int, strict: bool) -> ChainState:
+    """The chain data_dir's block log replays to (strict: as an audit) under
+    registry_file, or the dir's copy if None, from the dir's genesis time."""
+    registry = load_registry(registry_file or data_dir / REGISTRY_COPY)
+    return replay_block_log(data_dir / BLOCKS, registry, now, strict, read_genesis_time(data_dir))[0]
 
 
 def _check_header(data: bytes, magic: bytes) -> None:
@@ -166,7 +196,7 @@ class _Log:
         fresh = not self.path.exists() or self.path.stat().st_size == 0
         if fresh:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_bytes(self.magic + bytes((LOG_VERSION,)))
+            replace_durably(self.path, self.magic + bytes((LOG_VERSION,)))
         self._file = open(self.path, "ab", buffering=0)
         self._lock = threading.Lock()
         self._trimmed = fresh
@@ -254,26 +284,31 @@ class ReceiptLog(_Log):
         self._append(receipt_frame_bytes(receipt) if frame is None else frame)
 
     def read_all(self, registry: Registry) -> list[VerificationReceipt]:
-        frames, _ = read_frames(self.path.read_bytes(), self.magic, strict=False)
-        receipts = []
-        for offset, payload in frames:
-            try:
-                receipts.append(parse_receipt_frame(payload, registry))
-            except EncodingError as exc:
-                raise CorruptLog(offset, f"unparseable receipt: {exc}") from exc
-        return receipts
+        return read_receipts(self.path, registry)
+
+
+def read_receipts(path: Path | str, registry: Registry) -> list[VerificationReceipt]:
+    """Every whole receipt in the log at path; a torn tail is left as it is."""
+    frames, _ = read_frames(Path(path).read_bytes(), RECEIPT_LOG_MAGIC, strict=False)
+    receipts = []
+    for offset, payload in frames:
+        try:
+            receipts.append(parse_receipt_frame(payload, registry))
+        except EncodingError as exc:
+            raise CorruptLog(offset, f"unparseable receipt: {exc}") from exc
+    return receipts
 
 
 def read_genesis_time(data_dir: Path | str) -> int:
     """Genesis time persisted in a node's data dir (0 when absent)."""
-    path = Path(data_dir) / "genesis.txt"
+    path = Path(data_dir) / GENESIS
     if not path.exists():
         return 0
-    return parse_u64(path.read_text(), "genesis.txt")
+    return parse_u64(path.read_text(), GENESIS)
 
 
 def write_genesis_time(data_dir: Path | str, genesis_time: int) -> None:
-    replace_durably(Path(data_dir) / "genesis.txt", f"{genesis_time}\n".encode())
+    replace_durably(Path(data_dir) / GENESIS, f"{genesis_time}\n".encode())
 
 
 def replace_durably(path: Path, data: bytes) -> None:

@@ -46,3 +46,36 @@ def test_each_failed_run_is_recorded_with_its_side_pair_exit_code_and_output(tmp
          "stderr": "perfbench: sim did not run to its end: disk full", "incorrect": []},
         {"side": "parent", "pair": 2, "seed": 2, "exit": 1, "stderr": "seed 2 was wrong", "incorrect": incorrect},
     ]
+
+
+# Seven code lines: the import, the class and def lines, both lines of the
+# string assigned to x, and both lines of the return.
+SOURCE = '''"""A module docstring
+on two lines."""
+
+# a comment
+import os  # and a trailing one
+
+
+class A:
+    """A class docstring."""
+
+    x = """a string that is not
+    a docstring"""
+
+    def f(self):
+        """A function
+        docstring."""
+        return (os.sep +
+                "")
+'''
+
+
+def test_code_lines_leave_out_comments_blank_lines_and_docstrings(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import bench_pairs
+
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "mod.py").write_text(SOURCE)
+    assert bench_pairs.source_lines_by_file(tmp_path) == {"pkg/mod.py": 18}
+    assert bench_pairs.code_lines_by_file(tmp_path) == {"pkg/mod.py": 7}

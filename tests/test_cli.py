@@ -208,6 +208,32 @@ def test_audit_manifest_cli(tmp_path, capsys):
     assert "audit ok" in out
 
 
+def test_audit_manifest_reads_a_torn_log_whole_and_leaves_it_as_it_is(tmp_path, capsys):
+    """The audited log is evidence: its torn tail is not trimmed, and a
+    missing log fails the audit and is not created."""
+    c = Consortium()
+    docs = [make_doc(i) for i in range(3)]
+    state, tokens, _ = issue_and_register(c, docs, tested_at=T0, now=T0 + 60)
+    receipts_path = tmp_path / "receipts.log"
+    with ReceiptLog(receipts_path) as log:
+        for token, doc in zip(tokens, docs):
+            log.append(bm_verify(c.bm_keys[0], state, token, doc, POLICY, T0 + 3600)[1])
+    with open(receipts_path, "ab") as fh:
+        fh.write(b"\x00\x00\x01")  # a torn length prefix
+    torn = receipts_path.read_bytes()
+    save_registry(tmp_path / "registry.txt", c.registry)
+    (tmp_path / "manifest.txt").write_text("".join(f"{t.header_hash.hex()} {t.record_index}\n" for t in tokens))
+    audit = ("audit", "manifest", "--manifest", str(tmp_path / "manifest.txt"),
+             "--registry", str(tmp_path / "registry.txt"), "--receipts")
+    code, out, _ = run_cli(capsys, *audit, str(receipts_path))
+    assert (code, out) == (0, "audit ok: 3 manifest entries covered by 3 receipts\n")
+    assert receipts_path.read_bytes() == torn
+    missing = tmp_path / "absent" / "receipts.log"
+    code, out, err = run_cli(capsys, *audit, str(missing))
+    assert (code, out) == (1, "") and "No such file" in err
+    assert not missing.parent.exists()
+
+
 def test_sim_run_cli(tmp_path, capsys):
     config_path = tmp_path / "sim.cfg"
     config_path.write_text(

@@ -73,6 +73,7 @@ from dhp.storage import (
     ReceiptLog,
     RegistryMismatch,
     read_frames,
+    read_genesis_time,
     replay_block_log,
     save_keypair,
     save_registry,
@@ -843,6 +844,49 @@ def test_a_stopped_member_holds_no_links(linked):
     assert member._links == {}
 
 
+def test_stop_does_not_wait_out_a_tick_s_connect_to_a_silent_peer(tmp_path):
+    """The member's only peer is a bare listening socket that never sends its
+    challenge; its tick is connecting when stop() is called, which returns
+    without waiting out the 5 s the connect may take."""
+    c = Consortium(num_hsa=1, num_thf=1, num_bm=1, genesis_time=0)
+    save_registry(tmp_path / "registry.txt", c.registry)
+    with socket.create_server(("127.0.0.1", 0)) as silent:
+        member = start_member(tmp_path, c, 0)
+        member.config.peers, member._behind = [silent.getsockname()], True
+        time.sleep(0.5)
+        t0 = time.monotonic()
+        member.stop()
+        assert time.monotonic() - t0 < 1.0
+        assert member._links == {}
+
+
+def test_a_link_made_while_the_node_stops_is_not_held(tmp_path):
+    """The authority sends its challenge 1 s after it accepts the member's
+    link, while the member stops: stop() returns at once, and the member
+    closes the link when it forms instead of holding it."""
+    c, (hsa,) = parked_authorities(tmp_path, 1, num_bm=1)
+    served = threading.Event()
+
+    class SlowToChallenge(_Handler):
+        def handle(self):
+            time.sleep(1.0)
+            super().handle()
+            served.set()
+
+    hsa._server.RequestHandlerClass = SlowToChallenge
+    try:
+        member = start_member(tmp_path, c, 0)
+        member.config.peers, member._behind = [hsa.address], True
+        time.sleep(0.3)
+        t0 = time.monotonic()
+        member.stop()
+        assert time.monotonic() - t0 < 0.5
+        assert served.wait(3.0)
+        assert member._links == {}
+    finally:
+        hsa.stop()
+
+
 def logged_frames(node):
     return [payload for _, payload in read_frames(node._log.path.read_bytes(), BLOCK_LOG_MAGIC, True)[0]]
 
@@ -1555,6 +1599,56 @@ def test_a_restart_with_the_same_inputs_rewrites_no_data_dir_file(tmp_path, monk
     replaced, real_replace = [], os.replace
     monkeypatch.setattr(os, "replace", lambda *args: (replaced.append(args), real_replace(*args)))
     HsaNode(config).stop()
+    assert replaced == []
+    assert {name: (config.data_dir / name).read_bytes() for name in files} == files
+
+
+def test_a_start_refused_for_its_genesis_time_leaves_genesis_txt_and_the_audit_passes(tmp_path):
+    """A block made under genesis time 1000 does not replay under 2000: the
+    refused restart leaves genesis.txt at 1000, so the data dir still audits."""
+    c = Consortium(num_hsa=1, num_thf=1, genesis_time=0)
+    save_registry(tmp_path / "registry.txt", c.registry)
+    save_keypair(tmp_path / "hsa0.key", c.hsa_keys[0])
+    config = NodeConfig(
+        role=Role.HSA,
+        listen=("127.0.0.1", 0),
+        data_dir=tmp_path / "hsa0",
+        registry_file=tmp_path / "registry.txt",
+        key_file=tmp_path / "hsa0.key",
+        genesis_time=1000,
+    )
+    node = HsaNode(config)
+    try:
+        node._apply_block(propose_block(node.state, [issue(c, 1).record], c.hsa_keys[0], int(time.time())))
+    finally:
+        node.stop()
+    with pytest.raises(CorruptLog):
+        HsaNode(replace(config, genesis_time=2000))
+    assert read_genesis_time(config.data_dir) == 1000
+    assert main(["chain", "audit", "--data-dir", str(config.data_dir)]) == 0
+
+
+@pytest.mark.parametrize("refusal", ["genesis time", "registry", "log"])
+def test_a_refused_start_renames_nothing_and_leaves_the_data_dir_s_files(tmp_path, monkeypatch, refusal):
+    """A start refused with CorruptLog (a changed genesis time, a flipped log
+    byte) or RegistryMismatch (a removed facility) writes neither the
+    registry copy nor genesis.txt."""
+    c = Consortium(num_hsa=1, num_thf=2, genesis_time=0)
+    config, error = three_block_authority(tmp_path, c), CorruptLog
+    if refusal == "genesis time":
+        config = replace(config, genesis_time=2000)
+    elif refusal == "registry":
+        revoked = c.thf_keys[1].owner
+        save_registry(config.registry_file, Registry(tuple(m for m in c.registry.members if m != revoked)))
+        error = RegistryMismatch
+    else:
+        log = config.data_dir / "blocks.log"
+        log.write_bytes(log.read_bytes()[:-1] + bytes((log.read_bytes()[-1] ^ 1,)))
+    files = {name: (config.data_dir / name).read_bytes() for name in ("registry.txt", "genesis.txt")}
+    replaced, real_replace = [], os.replace
+    monkeypatch.setattr(os, "replace", lambda *args: (replaced.append(args), real_replace(*args)))
+    with pytest.raises(error):
+        HsaNode(config)
     assert replaced == []
     assert {name: (config.data_dir / name).read_bytes() for name in files} == files
 

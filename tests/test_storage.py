@@ -380,6 +380,33 @@ def test_a_data_dir_file_is_replaced_durably_and_only_when_it_changes(tmp_path, 
     assert sorted(p.name for p in tmp_path.iterdir()) == [name]
 
 
+@pytest.mark.parametrize("log_type", [BlockLog, ReceiptLog], ids=["blocks.log", "receipts.log"])
+def test_a_fresh_log_is_created_durably(tmp_path, monkeypatch, log_type):
+    """A new log's header is written to a temp file and fsynced, renamed
+    over the log, and the directory fsynced, so the log survives a crash."""
+    path = tmp_path / ("blocks.log" if log_type is BlockLog else "receipts.log")
+    calls, real_fsync, real_replace = [], os.fsync, os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        calls.append(("fsync", st.st_ino, "dir" if stat.S_ISDIR(st.st_mode) else st.st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", str(src), str(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    log_type(path).close()
+    assert calls == [
+        ("fsync", path.stat().st_ino, 5),
+        ("replace", f"{path}.tmp", str(path)),
+        ("fsync", tmp_path.stat().st_ino, "dir"),
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
 def test_registry_text_round_trip(consortium):
     text = format_registry(consortium.registry)
     assert parse_registry(text) == consortium.registry

@@ -12,7 +12,8 @@ quartiles, every run's value and how many pairs the change won; the traced
 per-layer figures; each run that was incorrect or did not finish (errors:
 its side, pair, seed, exit code, stderr tail and INCORRECT: lines); the line
 count of src/**/*.py on each side, in total (src_lines) and per file
-(src_lines_by_file); and the commits, host, Python and `cryptography`
+(src_lines_by_file), and its code lines likewise (src_code_lines,
+src_code_lines_by_file); and the commits, host, Python and `cryptography`
 versions. Nothing under perfbench/ is changed; exits 1 if any run was
 incorrect or did not finish.
 """
@@ -20,6 +21,7 @@ incorrect or did not finish.
 from __future__ import annotations
 
 import argparse
+import ast
 import io
 import json
 import os
@@ -29,6 +31,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import tokenize
 from importlib.metadata import version
 from pathlib import Path
 
@@ -54,6 +57,29 @@ def source_lines_by_file(checkout: Path) -> dict[str, int]:
         path.relative_to(src).as_posix(): len(path.read_bytes().splitlines())
         for path in sorted(src.rglob("*.py"))
     }
+
+
+def code_lines(source: str) -> int:
+    """Lines of source that hold a token other than a comment and lie
+    outside every module, class and function docstring."""
+    docstrings: set[int] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(first.value.value, str):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    lines: set[int] = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in layout:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def code_lines_by_file(checkout: Path) -> dict[str, int]:
+    """code_lines of each of the checkout's src/**/*.py, by path under src/."""
+    src = checkout / "src"
+    return {path.relative_to(src).as_posix(): code_lines(path.read_text()) for path in sorted(src.rglob("*.py"))}
 
 
 #: Characters of a failed run's stderr kept in its error record.
@@ -147,6 +173,7 @@ def main(argv: list[str] | None = None) -> int:
         export(args.parent, Path(tmp))
         sides = {"parent": Path(tmp), "change": ROOT}
         src_lines_by_file = {side: source_lines_by_file(path) for side, path in sides.items()}
+        src_code_lines_by_file = {side: code_lines_by_file(path) for side, path in sides.items()}
         workloads = {
             w: bench_workload(sides, w, args, manifest["end_to_end"]) for w in args.workloads.split(",")
         }
@@ -161,6 +188,8 @@ def main(argv: list[str] | None = None) -> int:
         "seeds": list(range(1, args.pairs + 1)),
         "src_lines": {side: sum(lines.values()) for side, lines in src_lines_by_file.items()},
         "src_lines_by_file": src_lines_by_file,
+        "src_code_lines": {side: sum(lines.values()) for side, lines in src_code_lines_by_file.items()},
+        "src_code_lines_by_file": src_code_lines_by_file,
         "workloads": workloads,
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
