@@ -268,9 +268,9 @@ _sodium_sign = _bind_sodium_sign(_sodium)
 # Verification is pure, so it is memoised for the three places that check a
 # signature again: repeat gate checks of one credential at a member, an
 # authority appending the block it built from records it admitted, and the
-# simulator's in-process replicas, which each append every block. A miss
-# runs one full verification: libsodium's, and OpenSSL's too unless
-# libsodium accepted.
+# simulator's in-process replicas, which each append every block but check
+# only its header signature again. A miss runs one full verification:
+# libsodium's, and OpenSSL's too unless libsodium accepted.
 @lru_cache(maxsize=1 << 16)
 def _verify_cached(public: bytes, message: bytes, signature: bytes) -> bool:
     # libsodium reads exactly 64 signature and 32 key bytes, so it only sees

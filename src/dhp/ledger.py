@@ -489,9 +489,9 @@ def lookup_by_token(state: ChainState, token: DhpToken, doc: TravelDocument) -> 
     this chain does not locate is NOT_FOUND before the document is opened.
     """
     found = locate_token(state, token)
-    if found.status is LookupStatus.NOT_FOUND:
-        return found
-    return check_opening(found, commit(doc, token.salt))
+    if found.status is LookupStatus.FOUND and commit(doc, token.salt) != found.record.commitment:
+        return LookupResult(LookupStatus.COMMITMENT_MISMATCH, location=found.location)
+    return found
 
 
 def locate_token(state: ChainState, token: DhpToken) -> LookupResult:
@@ -505,15 +505,6 @@ def locate_token(state: ChainState, token: DhpToken) -> LookupResult:
         return LookupResult(LookupStatus.NOT_FOUND)
     return LookupResult(LookupStatus.FOUND, record=block.records[token.record_index],
                         location=(height, token.record_index))
-
-
-def check_opening(found: LookupResult, opening: bytes) -> LookupResult:
-    """A located record (locate_token) once its commitment is opened: found
-    itself if opening, commit(doc, token.salt), equals the record's
-    commitment; COMMITMENT_MISMATCH at its location otherwise."""
-    if opening != found.record.commitment:
-        return LookupResult(LookupStatus.COMMITMENT_MISMATCH, location=found.location)
-    return found
 
 
 # --- canonical wire frames -------------------------------------------------

@@ -16,8 +16,10 @@ bounds inclusion delay by (number of authorities + max announcement delay).
 After the final round a quiescence phase heals partitions, flushes in-flight
 messages with zero delay, and drains leftover mempools through merged
 rotation proposals so that every submitted credential lands on-chain exactly
-once. Everything is a pure function of the config: one seeded RNG drives key
-generation, salts, document numbers, and delays.
+once. The report is consistent if every node then holds the same chain and
+locates every token at the same record (check_consistency). Everything is a
+pure function of the config: one seeded RNG drives key generation, salts,
+document numbers, and delays.
 """
 
 from __future__ import annotations
@@ -28,23 +30,21 @@ from datetime import date
 from enum import Enum
 from random import Random
 
-from .core import DhpError, EncodingError, HygienePolicy, Registry, Role, TestMethod, TravelDocument, parse_key_values
-from .crypto import commit, keygen
+from .core import DhpError, EncodingError, Registry, Role, TestMethod, TravelDocument, parse_key_values
+from .crypto import keygen
 from .ledger import (
     MAX_BLOCK_RECORDS,
     Block,
     ChainState,
     DhpToken,
-    LookupStatus,
     append_block,
     chain_bytes,
-    check_opening,
     header_hash,
     locate_token,
     scheduled_authority,
 )
 # bm_verify is not called here, but the benchmark's tracer wraps dhp.netsim.bm_verify by name.
-from .protocol import PendingDhp, bm_verify, credential_outcome, hsa_register, thf_issue  # noqa: F401
+from .protocol import PendingDhp, bm_verify, hsa_register, thf_issue  # noqa: F401
 
 ROUND_SECONDS = 60
 SIM_BASE_TIME = 1_600_000_000
@@ -133,7 +133,13 @@ class SimReport:
 
 class _Replica:
     """One node's observed chain: buffers out-of-order blocks and appends
-    contiguous extensions (one authority per height, so only one chain)."""
+    contiguous extensions (one authority per height, so only one chain).
+
+    Every block comes from the global chain, whose append (hsa_register)
+    verified each record's issuer signature, so a replica appends it with
+    record_sigs=False: it still checks the height, previous hash, authority
+    signature, Merkle root, ordering, duplicates and timestamps.
+    """
 
     def __init__(self, name: str, genesis: ChainState):
         self.name = name
@@ -153,7 +159,7 @@ class _Replica:
         applied = []
         while len(self.state.blocks) in self.buffer:
             height = len(self.state.blocks)
-            self.state = append_block(self.state, self.buffer.pop(height), now)
+            self.state = append_block(self.state, self.buffer.pop(height), now, record_sigs=False)
             applied.append(height)
         return applied
 
@@ -225,7 +231,7 @@ def run_simulation(config: SimConfig) -> SimReport:
     events: list[SimEvent] = []
     submissions: dict[int, tuple[bytes, int]] = {}   # dhp_id -> (commitment, round)
     block_dhps: dict[int, tuple[int, ...]] = {}      # height -> dhp ids
-    issued: list[tuple[DhpToken | None, TravelDocument, int]] = []
+    minted: dict[int, DhpToken] = {}                 # dhp_id -> token, at inclusion
     delays: dict[tuple[int, str], int] = {}
     queue: list[tuple[int, int, str, Block, bytes]] = []  # (deliver_round, seq, dest, block, header hash)
     next_dhp = 0
@@ -245,7 +251,6 @@ def run_simulation(config: SimConfig) -> SimReport:
         )
         submissions[next_dhp] = (pending.record.commitment, r)
         mempools[hsa_i].append((next_dhp, pending))
-        issued.append((None, doc, next_dhp))  # token filled at inclusion
         events.append(SimEvent(r, EventKind.SUBMIT, (next_dhp, hsa_names[hsa_i])))
         next_dhp += 1
 
@@ -256,8 +261,7 @@ def run_simulation(config: SimConfig) -> SimReport:
         height = block.header.height
         block_hash = header_hash(block.header)
         for (dhp_id, _), token in zip(batch, tokens):
-            _, doc, _ = issued[dhp_id]
-            issued[dhp_id] = (token, doc, dhp_id)
+            minted[dhp_id] = token
         block_dhps[height] = tuple(dhp_id for dhp_id, _ in batch)
         events.append(
             SimEvent(r, EventKind.PROPOSE, (height, block_hash.hex(), hsa_names[proposer_i], block_dhps[height]))
@@ -315,17 +319,7 @@ def run_simulation(config: SimConfig) -> SimReport:
             break
 
     final_states = {name: rep.state for name, rep in replicas.items()}
-    policy = HygienePolicy(
-        accepted_methods=frozenset({method.code}),
-        max_test_age=max(72, (qr * ROUND_SECONDS) // 3600 + 1),
-    )
-    verify_at = round_time(qr)
-    consistent = check_consistency(
-        list(final_states.values()),
-        issued=[(t, doc) for t, doc, _ in issued if t is not None],
-        policy=policy,
-        at=verify_at,
-    )
+    consistent = check_consistency(list(final_states.values()), list(minted.values()))
 
     on_chain: dict[bytes, int] = {}
     for block in canon.blocks[1:]:
@@ -341,7 +335,7 @@ def run_simulation(config: SimConfig) -> SimReport:
         consistent=consistent,
         max_inclusion_delay=max(delays.values(), default=0),
         submitted=len(submissions),
-        included=sum(1 for t, _, _ in issued if t is not None),
+        included=len(minted),
         lost=lost,
         duplicated=duplicated,
         quiescence_rounds=qr - config.rounds,
@@ -368,42 +362,23 @@ def check_theta_liveness(report: SimReport, theta: int) -> list[tuple[int, str, 
     return violations
 
 
-def check_consistency(
-    states: list[ChainState],
-    issued: list[tuple[DhpToken, TravelDocument]],
-    policy: HygienePolicy,
-    at: int,
-) -> bool:
-    """True iff all nodes hold byte-identical chains and every issued token
-    verifies to the same outcome on every node.
+def check_consistency(states: list[ChainState], tokens: list[DhpToken]) -> bool:
+    """True iff all nodes hold byte-identical chains under one issuer
+    registry and every token locates to the same record on every node.
 
-    Every node runs the receipt-free member checks of check_credential on
-    its own replica: it locates the record by token, compares its
-    commitment with the opening, and checks the issuer, its signature and
-    the policy (credential_outcome). The opening, commit(doc, token.salt),
-    depends on neither, so each token's is made once, at the first node
-    that locates the token; a token no node locates is never opened, as in
-    lookup_by_token. The first node's outcome is the reference.
+    That is agreement on every member check. Given the chain bytes, the
+    registry, a document, a policy and a time, check_credential's outcome
+    depends on the node only through where locate_token finds the token,
+    and the outcome carries that location. So no commitment is opened and
+    no signature verified here.
     """
     if not states:
         return True
-    reference = chain_bytes(states[0])
-    if any(chain_bytes(s) != reference for s in states[1:]):
+    first = states[0]
+    reference = chain_bytes(first)
+    if any(chain_bytes(s) != reference or s.issuer_registry != first.issuer_registry for s in states[1:]):
         return False
-    for token, doc in issued:
-        opening = outcome = None
-        for state in states:
-            found = locate_token(state, token)
-            if found.status is LookupStatus.FOUND:
-                if opening is None:
-                    opening = commit(doc, token.salt)
-                found = check_opening(found, opening)
-            node_outcome = credential_outcome(state, found, policy, at)
-            if outcome is None:
-                outcome = node_outcome
-            elif node_outcome != outcome:
-                return False
-    return True
+    return all(len({locate_token(s, token).location for s in states}) == 1 for token in tokens)
 
 
 def format_report(report: SimReport) -> str:

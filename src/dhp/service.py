@@ -122,7 +122,9 @@ from .storage import load_keypair, load_registry, open_chain, open_receipts
 AUTH_TAG = b"DHPA1|"
 #: The longest valid message: the ANNOUNCE or BLOCK of the longest block.
 MAX_FRAME = 1 + MAX_BLOCK_BYTES
-#: Pending credentials an authority holds; a submit past it is refused.
+#: Pending credentials an authority holds, and minted tokens it keeps: a
+#: submit past the first is refused, and a mint past the second evicts the
+#: oldest token.
 MAX_MEMPOOL = 4 * MAX_BLOCK_RECORDS
 #: Connections a node serves at once, one thread each; one past it is refused.
 MAX_CONNECTIONS = 64
@@ -544,8 +546,9 @@ class HsaNode(Node):
     scheduled heights, and announces them to peers. A pending credential's
     token is minted when any block that includes it enters the chain, and is
     kept in memory only (the salt never touches disk), next to the id of the
-    facility that issued it, the only member it is given to. After a restart,
-    a resubmission by a credential's issuer mints its token from the chain."""
+    facility that issued it, the only member it is given to. The newest
+    MAX_MEMPOOL tokens are kept. After a restart or an eviction, a
+    resubmission by a credential's issuer mints its token from the chain."""
 
     ROUTES = {
         **Node.ROUTES,
@@ -578,7 +581,7 @@ class HsaNode(Node):
                 # Only the issuer: anyone can copy a record off the chain and
                 # pair it with a wrong salt.
                 if block.records[pos].issuer_id.id == member.id:
-                    self._tokens[commitment] = (member.id, DhpToken(header_hash(block.header), pos, pending.salt))
+                    self._mint(commitment, member.id, DhpToken(header_hash(block.header), pos, pending.salt))
             duplicate = commitment in self._mempool or commitment in self._tokens or located is not None
             if not duplicate:
                 if len(self._mempool) >= MAX_MEMPOOL:
@@ -626,8 +629,15 @@ class HsaNode(Node):
                 for pos, commitment in enumerate(block.commitments()):
                     pending = self._mempool.pop(commitment, None)
                     if pending is not None:
-                        self._tokens[commitment] = (pending.record.issuer_id.id, DhpToken(block_hash, pos, pending.salt))
+                        self._mint(commitment, pending.record.issuer_id.id, DhpToken(block_hash, pos, pending.salt))
         return held
+
+    def _mint(self, commitment: bytes, issuer: bytes, token: DhpToken) -> None:
+        """Keep a token for its issuer, evicting the oldest past MAX_MEMPOOL;
+        the caller holds _lock."""
+        self._tokens[commitment] = (issuer, token)
+        if len(self._tokens) > MAX_MEMPOOL:
+            del self._tokens[next(iter(self._tokens))]
 
     def _announce(self) -> None:
         """Send the tip to each peer not known to hold it, then read each ack;

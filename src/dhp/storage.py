@@ -3,8 +3,10 @@
 A node's data dir holds blocks.log, registry.txt (the registry the log last
 replayed under), genesis.txt and a member's receipts.log, named here alone.
 open_chain writes the registry copy and genesis.txt only once the block log
-replays. replace_durably creates or replaces every file, _Log._append grows
-the logs, and readers (replay_data_dir, read_receipts) never write.
+replays. A log's writer makes a missing data dir, fsyncing the parent of
+each directory it makes; replace_durably creates or replaces every file,
+_Log._append grows the logs, and readers (replay_data_dir, read_receipts)
+never write.
 
 Block log: magic "DHPB" + u8 version, then length-prefixed canonical block
 frames (u32-BE length + block bytes). Recovery of a node's own log replays
@@ -195,7 +197,7 @@ class _Log:
         self.path = Path(path)
         fresh = not self.path.exists() or self.path.stat().st_size == 0
         if fresh:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
+            _make_dirs_durably(self.path.parent)
             replace_durably(self.path, self.magic + bytes((LOG_VERSION,)))
         self._file = open(self.path, "ab", buffering=0)
         self._lock = threading.Lock()
@@ -328,11 +330,25 @@ def replace_durably(path: Path, data: bytes) -> None:
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(temp, path)
-    directory = os.open(path.parent, os.O_RDONLY)
+    _fsync_dir(path.parent)
+
+
+def _make_dirs_durably(directory: Path) -> None:
+    """Make directory and its missing parents, fsyncing the parent of each
+    one made, so a crash cannot lose the new entry and what is under it."""
+    if directory.is_dir():
+        return
+    _make_dirs_durably(directory.parent)
+    directory.mkdir(exist_ok=True)
+    _fsync_dir(directory.parent)
+
+
+def _fsync_dir(directory: Path) -> None:
+    fd = os.open(directory, os.O_RDONLY)
     try:
-        os.fsync(directory)
+        os.fsync(fd)
     finally:
-        os.close(directory)
+        os.close(fd)
 
 
 # --- registry and key files --------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from dhp.core import SIGNING_TAG, ActorId, EncodingError, Reader, Registry, Role, TestMethod, record_signing_bytes
 from dhp.crypto import Salt, sign
 from dhp.ledger import (
+    CLOCK_SKEW_SECONDS,
     LEAF_TAG,
     MAX_BLOCK_RECORDS,
     Block,
@@ -309,15 +310,18 @@ def test_validate_errors_in_precedence_order(consortium):
     assert validate_block(state, too_late, T0 + 200) is BlockError.BAD_TIMESTAMP
 
     # record tested after its block was sealed (plus skew)
-    backdated = thf_issue(
-        c.thf_keys[0], make_doc(55), True, c.method,
-        tested_at=T0 + 9_000, now=T0 + 9_000, rng=Random(55),
-    ).record
-    records = tuple(sorted(block.records + (backdated,), key=lambda r: r.commitment))
-    time_travel = resign(
-        Block(replace(block.header, merkle_root=merkle_root(map(record_leaf, records))), records), hsa
-    )
-    assert validate_block(state, time_travel, T0 + 200) is BlockError.BAD_TIMESTAMP
+    latest = block.header.block_time + CLOCK_SKEW_SECONDS
+    late = BlockError.BAD_TIMESTAMP
+    for tested_at, error in ((latest, None), (latest + 1, late), (T0 + 9_000, late)):
+        backdated = thf_issue(
+            c.thf_keys[0], make_doc(55), True, c.method,
+            tested_at=tested_at, now=tested_at, rng=Random(55),
+        ).record
+        records = tuple(sorted(block.records + (backdated,), key=lambda r: r.commitment))
+        time_travel = resign(
+            Block(replace(block.header, merkle_root=merkle_root(map(record_leaf, records))), records), hsa
+        )
+        assert validate_block(state, time_travel, T0 + 200) is error, tested_at
 
 
 def test_the_first_record_to_break_an_issuer_rule_names_the_error(consortium):
@@ -606,8 +610,9 @@ def test_lookup_unknown_header_and_bad_index(consortium):
     state = append_block(consortium.state, block, T0 + 200)
     ghost = DhpToken(b"\xab" * 32, 0, pendings[0].salt)
     assert lookup_by_token(state, ghost, make_doc(0)).status is LookupStatus.NOT_FOUND
-    oob = DhpToken(header_hash(block.header), 5, pendings[0].salt)
-    assert lookup_by_token(state, oob, make_doc(0)).status is LookupStatus.NOT_FOUND
+    for index in (len(block.records), 5):
+        oob = DhpToken(header_hash(block.header), index, pendings[0].salt)
+        assert lookup_by_token(state, oob, make_doc(0)).status is LookupStatus.NOT_FOUND
 
 
 # --- serialization -------------------------------------------------------------

@@ -1,13 +1,17 @@
 import hashlib
 import re
+from collections import Counter
 from dataclasses import replace
 from datetime import date
+from functools import cache
 from math import inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dhp.netsim as netsim
-from dhp.core import InvalidDocument, TravelDocument, canonical_doc_bytes
+from dhp.core import SIGNING_TAG, InvalidDocument, TravelDocument, canonical_doc_bytes
 from dhp.crypto import Salt
 from dhp.ledger import DhpToken, chain_bytes
 from dhp.netsim import (
@@ -26,7 +30,7 @@ from dhp.netsim import (
 )
 from dhp.protocol import OutcomeStatus, check_credential, hsa_register
 
-from conftest import counted, make_doc
+from conftest import Consortium, counted, make_doc
 
 
 def replay_delays(report):
@@ -209,18 +213,18 @@ def test_eventual_consistency_property_suite():
 def test_check_consistency_detects_divergence(consortium):
     from conftest import Consortium, make_doc
     from test_ledger import grow_chain
-    from test_protocol import HOUR, POLICY, T0, issue_and_register
+    from test_protocol import issue_and_register
 
     a = grow_chain(Consortium(), 3)
     b = grow_chain(Consortium(), 4)
-    assert check_consistency([a, a], [], POLICY, T0)
-    assert not check_consistency([a, b], [], POLICY, T0)
+    assert check_consistency([a, a], [])
+    assert not check_consistency([a, b], [])
 
     # Byte-equal chains, but one replica cannot find a block by its hash:
-    # only verifying the tokens on every replica shows it.
+    # only locating the tokens on every replica shows it.
     docs = [make_doc(i) for i in range(3)]
     state, tokens, _ = issue_and_register(consortium, docs)
-    verify = dict(issued=list(zip(tokens, docs)), policy=POLICY, at=T0 + HOUR)
+    verify = dict(tokens=tokens)
     blind = replace(state, header_index={h: n for h, n in state.header_index.items() if n != 1})
     assert chain_bytes(blind) == chain_bytes(state)
     assert check_consistency([state, state, state], **verify)
@@ -228,9 +232,9 @@ def test_check_consistency_detects_divergence(consortium):
 
 
 def test_check_consistency_opens_each_located_credential_once(monkeypatch):
-    """The opening depends only on the token and the document, so it is
-    made once per credential, not once per node: 300 for the sim workload's
-    300 credentials on 6 nodes."""
+    """The opening depends only on the token and the document, so nodes
+    that locate a token at one place agree on it: the check opens none of
+    the sim workload's 300 credentials."""
     config = PINNED_REPORTS[0][0]
     opened, calls = counted(monkeypatch, "commit"), []
     check = netsim.check_consistency
@@ -244,13 +248,13 @@ def test_check_consistency_opens_each_located_credential_once(monkeypatch):
     monkeypatch.setattr(netsim, "check_consistency", counting)
     report = run_simulation(config)
     assert report.consistent and report.submitted == 300
-    assert calls == [300]
+    assert calls == [0]
 
 
 def test_check_consistency_locates_and_compares_on_every_node(consortium):
     """Byte-equal chains, but one replica's header index sends a token's
     block hash to another height: its record there has another commitment,
-    which only a per-node comparison with the opening catches."""
+    which only a per-node comparison of the token's location catches."""
     from test_protocol import HOUR, POLICY, T0, issue_and_register, issue_for
 
     docs = [make_doc(i) for i in range(6)]
@@ -260,7 +264,7 @@ def test_check_consistency_locates_and_compares_on_every_node(consortium):
     swapped = {h: {1: 2, 2: 1}.get(n, n) for h, n in state.header_index.items()}
     misdirected = replace(state, header_index=swapped)
     assert chain_bytes(misdirected) == chain_bytes(state)
-    verify = dict(issued=list(zip(tokens + more, docs)), policy=POLICY, at=T0 + HOUR)
+    verify = dict(tokens=tokens + more)
     assert check_consistency([state, state], **verify)
     outcome = check_credential(misdirected, tokens[0], docs[0], POLICY, T0 + HOUR)
     assert (outcome.status, outcome.dhp_location) == (OutcomeStatus.COMMITMENT_MISMATCH, (2, tokens[0].record_index))
@@ -279,7 +283,89 @@ def test_check_consistency_never_opens_a_token_no_node_locates(consortium):
     with pytest.raises(InvalidDocument):
         canonical_doc_bytes(bad_doc)
     assert check_credential(state, ghost, bad_doc, POLICY, T0 + HOUR).status is OutcomeStatus.NOT_FOUND
-    assert check_consistency([state, state, state], [(ghost, bad_doc)], POLICY, T0 + HOUR)
+    assert check_consistency([state, state, state], [ghost])
+
+
+@cache
+def agreement_chain():
+    """A chain of three blocks (3, 2 and 1 records, all from one facility),
+    the tokens to present on it, the documents to present with them, and a
+    registry without that facility."""
+    from test_protocol import T0, issue_and_register, issue_for
+
+    c = Consortium()
+    docs = [make_doc(i) for i in range(7)]
+    state, tokens, _ = issue_and_register(c, docs[:3])
+    pendings = [issue_for(c, doc, i) for i, doc in enumerate(docs[3:5], start=3)]
+    state, more = hsa_register(c.hsa_keys[0], state, pendings, T0 + 180)
+    state, last = hsa_register(c.hsa_keys[1], state, [issue_for(c, docs[5], 5)], T0 + 240)
+    tokens += more + last
+    tokens += [
+        DhpToken(b"\x07" * 32, 0, Salt(b"\x01" * 16)),  # no such block
+        replace(tokens[0], record_index=3),              # one past block 1's records
+        replace(tokens[5], salt=Salt(b"\x02" * 16)),     # another salt
+    ]
+    facility = c.thf_keys[0].owner.id
+    registry = {k: v for k, v in state.issuer_registry.items() if k != facility}
+    return state, tokens, docs, registry
+
+
+# A node's view: its header index with heights permuted and entries dropped,
+# or "registry", the base index under a registry without the facility.
+node_views = st.one_of(
+    st.tuples(st.permutations(range(4)), st.sets(st.integers(0, 3))),
+    st.just("registry"),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(views=st.lists(node_views, min_size=2, max_size=4),
+       presented=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 6)), max_size=6))
+def test_check_consistency_is_agreement_on_every_credential_outcome(views, presented):
+    """Over byte-equal chains, check_consistency says True exactly when every
+    node gives every presented (token, document) the same check_credential
+    outcome. A registry that differs is refused even where no presented
+    token shows it, so where one node holds another registry the first
+    credential, which it refuses, is presented too."""
+    from test_protocol import HOUR, POLICY, T0
+
+    state, tokens, docs, registry = agreement_chain()
+    states = []
+    for view in views:
+        if view == "registry":
+            states.append(replace(state, issuer_registry=registry))
+            continue
+        heights, dropped = view
+        index = {h: heights[n] for h, n in state.header_index.items() if n not in dropped}
+        states.append(replace(state, header_index=index))
+    if "registry" in views:
+        presented = presented + [(0, 0)]
+    agree = all(
+        len({check_credential(s, tokens[t], docs[d], POLICY, T0 + HOUR) for s in states}) == 1
+        for t, d in presented
+    )
+    assert check_consistency(states, [tokens[t] for t, _ in presented]) is agree
+
+
+def test_a_sim_run_verifies_each_issuer_signature_once(monkeypatch):
+    """The global chain's append verifies each record's issuer signature; the
+    replicas check headers and the consistency check verifies nothing, so
+    each of the sim workload's 300 signatures is verified exactly once."""
+    verified = counted(monkeypatch, "verify_sig")
+    report = run_simulation(PINNED_REPORTS[0][0])
+    issuer_checks = Counter(args for args in verified if args[1].startswith(SIGNING_TAG))
+    assert report.submitted == 300
+    assert len(issuer_checks) == 300 and set(issuer_checks.values()) == {1}
+
+
+def test_check_consistency_opens_nothing_and_verifies_nothing(monkeypatch):
+    state, tokens, _, registry = agreement_chain()
+    misdirected = replace(state, header_index={h: {1: 2, 2: 1}.get(n, n) for h, n in state.header_index.items()})
+    opened, verified = counted(monkeypatch, "commit"), counted(monkeypatch, "verify_sig")
+    assert check_consistency([state, state], tokens)
+    assert not check_consistency([state, misdirected], tokens)
+    assert not check_consistency([state, replace(state, issuer_registry=registry)], tokens)
+    assert opened == [] and verified == []
 
 
 # sha256 of format_report(report) + repr(report.events) for three seeded

@@ -693,6 +693,32 @@ def test_submit_past_the_mempool_bound_is_refused(solo, monkeypatch):
     assert list(hsa._mempool) == [third.record.commitment]
 
 
+def test_minted_tokens_past_the_bound_evict_the_oldest(solo, monkeypatch):
+    """An authority keeps the newest MAX_MEMPOOL tokens. An evicted token is
+    an unknown commitment again, and its facility's resubmission mints it
+    from the chain, which evicts the next oldest."""
+    c, hsa = solo
+    monkeypatch.setattr("dhp.service.MAX_MEMPOOL", 2)
+    first, second, third = (issue(c, i) for i in (85, 86, 87))
+    with connect(hsa, c.thf_keys[0], c.registry) as client:
+        client.submit_dhp(first)
+        client.submit_dhp(second)
+        hsa.propose_once()
+        tokens = {p: client.get_token(p.record.commitment) for p in (first, second)}
+        client.submit_dhp(third)
+        hsa.propose_once()
+        assert client.get_token(third.record.commitment) is not None
+        with pytest.raises(ServiceError) as err:
+            client.get_token(first.record.commitment)
+        assert (err.value.code, err.value.message) == (ERR_NOT_FOUND, "unknown commitment")
+        assert client.get_token(second.record.commitment) == tokens[second]
+        assert client.submit_dhp(first) == (first.record.commitment, True)
+        assert client.get_token(first.record.commitment) == tokens[first]
+        with pytest.raises(ServiceError):
+            client.get_token(second.record.commitment)
+    assert list(hsa._tokens) == [third.record.commitment, first.record.commitment]
+
+
 def test_an_authority_that_missed_a_block_gets_it_before_its_turn(tmp_path):
     """The authority scheduled for height 1 cuts block 1 while it has no
     peers, so the other, scheduled for height 2, never hears of it. Once the

@@ -18,6 +18,7 @@ from dhp.storage import (
     ReceiptLog,
     load_keypair,
     load_registry,
+    open_chain,
     parse_manifest,
     parse_registry,
     format_registry,
@@ -405,6 +406,32 @@ def test_a_fresh_log_is_created_durably(tmp_path, monkeypatch, log_type):
         ("fsync", tmp_path.stat().st_ino, "dir"),
     ]
     assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
+def test_a_first_start_syncs_each_directory_it_makes(tmp_path, monkeypatch, consortium):
+    """A first start in a new data dir fsyncs the parent of each directory
+    it makes before the log is written into it, so a crash cannot lose the
+    data dir, and with it a block the node reported as logged."""
+    synced, real_fsync = [], os.fsync
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        synced.append((st.st_dev, st.st_ino))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    log, _ = open_chain(tmp_path / "a" / "b", consortium.registry, consortium.genesis_time, NOW)
+    log.close()
+    paths = {}
+    for path in [tmp_path, *tmp_path.rglob("*")]:
+        st = path.stat()
+        paths[(st.st_dev, st.st_ino)] = path.relative_to(tmp_path).as_posix()
+    assert [paths[key] for key in synced] == [
+        ".", "a",
+        "a/b/blocks.log", "a/b",
+        "a/b/registry.txt", "a/b",
+        "a/b/genesis.txt", "a/b",
+    ]
 
 
 def test_registry_text_round_trip(consortium):
